@@ -93,6 +93,7 @@ test-lifecycle:
 # recovers every record before the first corruption.
 fuzz:
 	$(GO) test -run=- -fuzz=FuzzReadGraph -fuzztime=5s ./internal/graphio
+	$(GO) test -run=- -fuzz=FuzzSmallLocallyUnique -fuzztime=5s ./internal/graph
 	$(GO) test -run=- -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/service
 	$(GO) test -run=- -fuzz=FuzzIdempotencyKey -fuzztime=5s ./internal/service
 	$(GO) test -run=- -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/journal

@@ -38,8 +38,10 @@ func TestMemoSingleFlight(t *testing.T) {
 			results[i] = v
 		}()
 	}
-	// Wait until the flight is claimed, then let everyone pile up on it.
-	for m.Stats().Misses == 0 {
+	// Wait until the flight is claimed and every other goroutine is
+	// parked on it; closing the gate earlier lets a late goroutine score
+	// a plain hit without a wait.
+	for m.Stats().Waits < waiters-1 {
 	}
 	close(gate)
 	wg.Wait()

@@ -10,6 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -301,16 +302,62 @@ func (g *Graph) Diameter() int {
 }
 
 // Ball returns the set of nodes at distance at most r from u, in ascending
-// index order. For r = 0 it is {u}.
+// index order. For r = 0 it is {u}; for r < 0 it is empty. Once the
+// pooled scratch covers g, it costs O(|ball|·deg + |ball|·log|ball|).
 func (g *Graph) Ball(u, r int) []int {
-	dist := g.BFS(u)
-	var out []int
-	for v, d := range dist {
-		if d >= 0 && d <= r {
-			out = append(out, v)
+	w := walkPool.Get().(*ballWalk)
+	out := slices.Clone(g.walk(w, u, r))
+	walkPool.Put(w)
+	slices.Sort(out)
+	return out
+}
+
+// ballWalk is the scratch of a depth-bounded BFS. Between walks every
+// entry of dist is -1; queue holds the nodes the last walk reached.
+type ballWalk struct {
+	dist  []int
+	queue []int
+}
+
+// walkPool lends scratch to one-off Ball calls, which callers such as
+// cert.Bound and structure.Rep make once per node: a fresh n-entry dist
+// per call would keep those loops quadratic in n.
+var walkPool = sync.Pool{New: func() any { return new(ballWalk) }}
+
+// walk returns the nodes at distance at most r from u in BFS order,
+// center first. It expands only nodes closer than r and resets only the
+// dist entries it set, so it costs O(|ball|·deg) once w.dist covers g.
+// The result aliases w.queue and is valid until the next walk on w.
+func (g *Graph) walk(w *ballWalk, u, r int) []int {
+	if r < 0 {
+		return nil
+	}
+	if len(w.dist) < g.N() {
+		w.dist = make([]int, g.N())
+		for i := range w.dist {
+			w.dist[i] = -1
 		}
 	}
-	return out
+	q := append(w.queue[:0], u)
+	w.dist[u] = 0
+	for i := 0; i < len(q); i++ {
+		x := q[i]
+		d := w.dist[x]
+		if d == r {
+			break // BFS order: every node still queued is at distance r
+		}
+		for _, y := range g.adj[x] {
+			if w.dist[y] < 0 {
+				w.dist[y] = d + 1
+				q = append(q, y)
+			}
+		}
+	}
+	for _, x := range q {
+		w.dist[x] = -1
+	}
+	w.queue = q
+	return q
 }
 
 // Neighborhood returns the r-neighborhood N^G_r(u) as a new graph (the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"strings"
 )
 
 // IDAssignment maps each node index to its identifier, a bit string.
@@ -45,9 +46,9 @@ func (id IDAssignment) IsLocallyUnique(g *Graph, rid int) bool {
 	if len(id) != g.N() {
 		return false
 	}
+	var w ballWalk
 	for u := 0; u < g.N(); u++ {
-		ball := g.Ball(u, 2*rid)
-		for _, v := range ball {
+		for _, v := range g.walk(&w, u, 2*rid) {
 			if v != u && id[u] == id[v] {
 				return false
 			}
@@ -61,8 +62,9 @@ func (id IDAssignment) IsLocallyUnique(g *Graph, rid int) bool {
 // for every node u (with a minimum of 1 bit when the neighborhood has a
 // single node, since the empty string is allowed there too; we accept both).
 func (id IDAssignment) IsSmall(g *Graph, rid int) bool {
+	var w ballWalk
 	for u := 0; u < g.N(); u++ {
-		card := len(g.Ball(u, 2*rid))
+		card := len(g.walk(&w, u, 2*rid))
 		if len(id[u]) > ceilLog2(card) {
 			return false
 		}
@@ -82,6 +84,9 @@ func ceilLog2(n int) int {
 // value not used within distance 2*rid among already-assigned nodes, then
 // encodes the value in ceil(log2 card(N_{2rid}(u))) bits (at least 1 bit
 // when the value is 0 but the neighborhood has more than one node).
+//
+// Each node's step reads only its 2*rid-ball, walked once, so the whole
+// assignment costs O(n·|ball|·deg).
 func SmallLocallyUnique(g *Graph, rid int) IDAssignment {
 	n := g.N()
 	val := make([]int, n)
@@ -89,19 +94,25 @@ func SmallLocallyUnique(g *Graph, rid int) IDAssignment {
 		val[u] = -1
 	}
 	id := make(IDAssignment, n)
+	var w ballWalk
+	var used []bool
 	for u := 0; u < n; u++ {
-		used := make(map[int]bool)
-		for _, v := range g.Ball(u, 2*rid) {
-			if v != u && val[v] >= 0 {
-				used[val[v]] = true
+		ball := g.walk(&w, u, 2*rid)
+		card := len(ball)
+		// At most card-1 other ball members hold a value, so the smallest
+		// free value is below card and larger values cannot block it.
+		used = append(used[:0], make([]bool, card)...)
+		for _, v := range ball {
+			if x := val[v]; x >= 0 && x < card {
+				used[x] = true
 			}
 		}
 		x := 0
-		for used[x] {
+		for x < card && used[x] {
 			x++
 		}
 		val[u] = x
-		width := ceilLog2(len(g.Ball(u, 2*rid)))
+		width := ceilLog2(card)
 		if width == 0 {
 			id[u] = "" // single node within radius: empty identifier suffices
 			continue
@@ -144,14 +155,18 @@ func CyclicIDs(n, period int) IDAssignment {
 }
 
 func fixedWidthBits(x, width int) string {
-	s := strconv.FormatInt(int64(x), 2)
-	for len(s) < width {
-		s = "0" + s
-	}
+	var buf [65]byte
+	s := strconv.AppendInt(buf[:0], int64(x), 2)
 	if len(s) > width {
 		panic(fmt.Sprintf("graph: value %d does not fit in %d bits", x, width))
 	}
-	return s
+	var b strings.Builder
+	b.Grow(width)
+	for i := len(s); i < width; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(s)
+	return b.String()
 }
 
 // SortByID returns the given node indices sorted in ascending identifier

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +29,41 @@ func TestQuickBallMonotone(t *testing.T) {
 			prev = cur
 		}
 		return prev == g.N()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// For every radius, Ball is the full-BFS distance filter in ascending
+// order, and Neighborhood is the labeled subgraph induced by that ball.
+func TestQuickBallMatchesBFS(t *testing.T) {
+	t.Parallel()
+	f := func(seed int64, u8 uint8) bool {
+		g := randomGraphFromSeed(seed)
+		g = g.MustWithLabels(BitLabels(g.N(), uint(seed)))
+		u := int(u8) % g.N()
+		for r := 0; r <= g.N(); r++ {
+			want := oracleBall(g, u, r)
+			if !slices.Equal(g.Ball(u, r), want) {
+				return false
+			}
+			sub, m := g.Neighborhood(u, r)
+			if !slices.Equal(m, want) || sub.N() != len(m) {
+				return false
+			}
+			for i := range m {
+				if sub.Label(i) != g.Label(m[i]) {
+					return false
+				}
+				for j := range m {
+					if sub.HasEdge(i, j) != g.HasEdge(m[i], m[j]) {
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -147,6 +147,33 @@ func TestSpansFeedRingAndHistograms(t *testing.T) {
 	}
 }
 
+// TestPhaseBucketsResolveMicroseconds pins the sub-100µs buckets: a
+// 20µs and a 90µs phase land in different buckets, and P50 reports the
+// faster one's bound.
+func TestPhaseBucketsResolveMicroseconds(t *testing.T) {
+	tc := NewTracer(TracerConfig{Now: newFakeClock().now})
+	tc.Observe(PhasePrepare, 20*time.Microsecond)
+	tc.Observe(PhasePrepare, 90*time.Microsecond)
+	for _, ps := range tc.PhaseStats() {
+		if ps.Phase != PhasePrepare {
+			continue
+		}
+		want := map[string]uint64{"1e-05": 0, "2.5e-05": 1, "5e-05": 1, "0.0001": 2}
+		for _, b := range ps.Buckets {
+			if c, ok := want[b.LE]; ok && b.Count != c {
+				t.Fatalf("bucket le=%s count %d, want %d: %+v", b.LE, b.Count, c, ps.Buckets)
+			}
+			delete(want, b.LE)
+		}
+		if len(want) != 0 {
+			t.Fatalf("buckets %v missing from %+v", want, ps.Buckets)
+		}
+	}
+	if p50, ok := tc.P50(PhasePrepare); !ok || p50 != 0.000025 {
+		t.Fatalf("P50 = %v/%v, want 2.5e-05/true", p50, ok)
+	}
+}
+
 func TestAllCanonicalPhasesPreRegistered(t *testing.T) {
 	tc := NewTracer(TracerConfig{Now: newFakeClock().now})
 	have := map[string]bool{}
