@@ -10,15 +10,16 @@ import (
 	"repro/internal/graphio"
 )
 
-// FuzzDecodeRequest fuzzes the service's JSON request decoder. The seeds
-// wrap the graphio fuzz corpus — well-formed graphs plus the
-// malformed-JSON inputs behind cmd/lph's exit-2 handling — into request
-// bodies, alongside request-specific malformations (unknown fields,
-// trailing data, negative workers). The invariant: DecodeRequest never
-// panics, never returns both a request and an error, never accepts
-// negative workers, and any graph it accepts survives a graphio
-// round trip unchanged.
-func FuzzDecodeRequest(f *testing.F) {
+// requestSeeds is the request-decoder corpus shared by FuzzDecodeRequest
+// and TestDecodeRequestMutations. It wraps the graphio fuzz corpus —
+// well-formed graphs plus the malformed-JSON inputs behind cmd/lph's
+// exit-2 handling — into request bodies, alongside request-specific
+// malformations (unknown fields, trailing data, negative workers) and
+// the encoding/json corners the one-pass decoder must reproduce
+// (folded and escaped keys, duplicates, nulls, workers forms, invalid
+// UTF-8, lone surrogates, whitespace, batch graphs).
+func requestSeeds() [][]byte {
+	var seeds [][]byte
 	// The graphio corpus, embedded as request graph fields.
 	for _, g := range []string{
 		`{"n":3,"edges":[[0,1],[1,2]],"labels":["1","0","1"]}`,
@@ -34,10 +35,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"n":-1,"edges":[[0,1]]}`,
 		`{"n":2,"edges":[[0,1]],"labels":["2",""]}`,
 	} {
-		f.Add([]byte(`{"graph":` + g + `,"property":"all-selected","workers":2}`))
-		f.Add([]byte(`{"graph":` + g + `,"reduction":"eulerian"}`))
+		seeds = append(seeds,
+			[]byte(`{"graph":`+g+`,"property":"all-selected","workers":2}`),
+			[]byte(`{"graph":`+g+`,"reduction":"eulerian"}`))
 	}
-	// Request-shaped malformations.
+	// Request-shaped malformations and encoding/json corners.
 	for _, req := range []string{
 		``,
 		`not json`,
@@ -52,15 +54,37 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"graph":null,"property":"all-selected"}`,
 		`{"graph":{"n":1},"property":"all-selected","workers":2,"property":"eulerian"}`,
 		`[{"graph":{"n":1}}]`,
+		`null`,
+		` { "GRAPH" : {"n":1} , "Property":"all-selected", "WORKERS":1 } `,
+		"{\"workerſ\":1,\"wor\u212aers\":2}",
+		`{"gr\u0061ph":{"n":1},"pr\u006fperty":"all-\u0073elected"}`,
+		`{"op":"verify","property":"2-colorable","graphs":[{"n":1},null,{"n":2,"edges":[[0,1]]}]}`,
+		`{"graphs":[],"graphs":null,"job":"sweep","name":null,"workers":null}`,
+		`{"workers":-0,"workers":1.0}`,
+		`{"workers":9223372036854775807}`,
+		`{"workers":9223372036854775808}`,
+		"{\"name\":\"\xff\\ud800\\ud83d\\ude00\\/\\t\"}",
+		"{\"graph\":[{\"a\":[true,false,null,-1.5e+3,\"\\\"\"]}]}\t\r\n",
 	} {
-		f.Add([]byte(req))
+		seeds = append(seeds, []byte(req))
+	}
+	return seeds
+}
+
+// FuzzDecodeRequest fuzzes the service's JSON request decoder against
+// its encoding/json oracle (request_oracle_test.go). The invariant:
+// DecodeRequest never panics, agrees with the oracle on accept/reject
+// and on the decoded Request, wraps every rejection in ErrBadRequest,
+// never returns both a request and an error, never accepts negative
+// workers, and any graph it accepts survives a graphio round trip
+// unchanged.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, seed := range requestSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(bytes.NewReader(data))
+		req, err := decodeAgainstOracle(t, data)
 		if err != nil {
-			if req != nil {
-				t.Fatalf("DecodeRequest returned both a request and %v", err)
-			}
 			return
 		}
 		if req.Workers < 0 {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/arbiters"
 	"repro/internal/cert"
@@ -64,6 +65,26 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
+// nameSet returns the membership set of a catalog, built on first use
+// and shared after: the Has* checks run on every request, and building
+// a catalog makes fresh machines. Evaluation still builds its own
+// catalog per call, so no machine is shared between requests.
+func nameSet[V any](catalog func() map[string]V) func() map[string]bool {
+	return sync.OnceValue(func() map[string]bool {
+		set := make(map[string]bool)
+		for name := range catalog() {
+			set[name] = true
+		}
+		return set
+	})
+}
+
+var (
+	decideSet = nameSet(decideMachines)
+	verifySet = nameSet(verifiers)
+	reduceSet = nameSet(reductions)
+)
+
 // decideMachines is the catalog behind Decide.
 func decideMachines() map[string]*simulate.Machine {
 	return map[string]*simulate.Machine{
@@ -79,10 +100,7 @@ func DecideNames() []string { return sortedKeys(decideMachines()) }
 // HasDecide reports whether name is in the decide catalog. The server
 // consults it before paying for graph preparation, so requests with a
 // bogus name never occupy a cache slot.
-func HasDecide(name string) bool {
-	_, ok := decideMachines()[name]
-	return ok
-}
+func HasDecide(name string) bool { return decideSet()[name] }
 
 // Decide runs the named locally polynomial decider on the prepared
 // instance and reports unanimous acceptance. The engine options are
@@ -181,10 +199,7 @@ func VerifyNames() []string { return sortedKeys(verifiers()) }
 
 // HasVerify reports whether name is in the verify catalog (see
 // HasDecide).
-func HasVerify(name string) bool {
-	_, ok := verifiers()[name]
-	return ok
-}
+func HasVerify(name string) bool { return verifySet()[name] }
 
 // Verify plays the named certificate game on the prepared instance with
 // Eve's strategy from the paper, fanning Adam's universal levels out
@@ -224,10 +239,7 @@ func ReduceNames() []string { return sortedKeys(reductions()) }
 
 // HasReduce reports whether name is in the reduce catalog (see
 // HasDecide).
-func HasReduce(name string) bool {
-	_, ok := reductions()[name]
-	return ok
-}
+func HasReduce(name string) bool { return reduceSet()[name] }
 
 // Reduce applies the named local reduction to g and validates the
 // resulting cluster map. Reductions are deterministic transformations

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -49,52 +50,60 @@ type Request struct {
 // to HTTP 400.
 var ErrBadRequest = errors.New("bad request")
 
-// countingReader counts the bytes handed to the JSON decoder so the
-// size bound rejects oversized bodies instead of silently truncating
-// them (a bare LimitReader would cut trailing garbage off and let the
-// request through).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // DecodeRequest reads one service request from r. Unknown fields,
 // trailing data after the JSON object, bodies over maxRequestBytes, and
 // negative worker counts are rejected — the strictness mirrors
 // graphio.Decode so malformed traffic fails loudly at the door instead
 // of defaulting its way into an evaluation.
+//
+// The body is read once and scanned once: the envelope is parsed by a
+// validating scanner that finds the end of the graph values in the same
+// pass and slices them out of the body, so a graph is never scanned
+// twice and no reflection runs. It accepts exactly the bodies
+// encoding/json's strict decoding into Request accepts, with the same
+// result; the encoding/json decoder it replaced is kept as the test
+// oracle (request_oracle_test.go).
 func DecodeRequest(r io.Reader) (*Request, error) {
-	// Read one byte past the limit: a fully-parsed request that consumed
-	// more than maxRequestBytes is over the bound, and anything the
-	// limit cut off mid-object fails the parse or the trailing check.
-	cr := &countingReader{r: io.LimitReader(r, maxRequestBytes+1)}
-	dec := json.NewDecoder(cr)
-	dec.DisallowUnknownFields()
+	body, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
 	var req Request
-	if err := dec.Decode(&req); err != nil {
+	if err := (&scanner{data: body}).request(&req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	switch _, err := dec.Token(); {
-	case err == io.EOF:
-		// Exactly one object, as required.
-	case err == nil:
-		return nil, fmt.Errorf("%w: trailing data after request JSON", ErrBadRequest)
-	default:
-		return nil, fmt.Errorf("%w: trailing data after request JSON: %v", ErrBadRequest, err)
-	}
-	if cr.n > maxRequestBytes {
-		return nil, fmt.Errorf("%w: request body exceeds %d bytes", ErrBadRequest, maxRequestBytes)
 	}
 	if req.Workers < 0 {
 		return nil, fmt.Errorf("%w: negative workers %d", ErrBadRequest, req.Workers)
 	}
 	return &req, nil
+}
+
+// readBuffers lends readBody its growing read buffer. Buffers that grew
+// past maxPooledRead are dropped rather than pooled, so one large body
+// does not pin its memory.
+var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 64 << 10
+
+// readBody reads the whole request body into a slice of exactly its
+// size, which the decoded Request's graphs then alias. It reads one
+// byte past the limit so an oversized body is rejected rather than
+// silently truncated.
+func readBody(r io.Reader) ([]byte, error) {
+	buf := readBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			buf.Reset()
+			readBuffers.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxRequestBytes+1)); err != nil {
+		return nil, fmt.Errorf("%w: reading request: %v", ErrBadRequest, err)
+	}
+	if buf.Len() > maxRequestBytes {
+		return nil, fmt.Errorf("%w: request body exceeds %d bytes", ErrBadRequest, maxRequestBytes)
+	}
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // DecodeGraph decodes the request's graph through graphio, inheriting

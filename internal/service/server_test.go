@@ -192,6 +192,9 @@ func TestServiceErrors(t *testing.T) {
 		{"unknown-reduction", "/v1/reduce", `{"graph":` + triangleJSON + `,"reduction":"nope"}`},
 		{"unknown-game", "/v1/game", `{"game":"nope"}`},
 		{"bad-graph", "/v1/verify", `{"graph":{"n":2,"edges":[]},"property":"2-colorable"}`},
+		{"escaped-unknown-field", "/v1/decide", `{"graph":` + triangleJSON + `,"propert\u0079s":"all-selected"}`},
+		{"float-workers", "/v1/decide", `{"graph":` + triangleJSON + `,"property":"all-selected","workers":2.0}`},
+		{"over-deep-graph", "/v1/decide", `{"graph":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `,"property":"all-selected"}`},
 	}
 	for _, tc := range post400 {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,6 +230,34 @@ func TestServiceErrors(t *testing.T) {
 			t.Fatalf("status %d, want 405", status)
 		}
 	})
+}
+
+// TestCatalogMembership: the Has* checks answer from name sets built
+// once, and must agree with the catalogs evaluation uses.
+func TestCatalogMembership(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		has   func(string) bool
+	}{
+		{service.DecideNames(), service.HasDecide},
+		{service.VerifyNames(), service.HasVerify},
+		{service.ReduceNames(), service.HasReduce},
+		{service.GameNames(), service.HasGame},
+	} {
+		if len(tc.names) == 0 {
+			t.Fatal("empty catalog")
+		}
+		for _, name := range tc.names {
+			if !tc.has(name) {
+				t.Errorf("catalog name %q not a member", name)
+			}
+		}
+		for _, bogus := range []string{"", "nope", strings.ToUpper(tc.names[0])} {
+			if tc.has(bogus) {
+				t.Errorf("%q is a member", bogus)
+			}
+		}
+	}
 }
 
 // TestServiceStats drives a known request sequence and asserts the full
