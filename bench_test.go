@@ -47,7 +47,7 @@ func BenchmarkFig1ThreeRoundColoring(b *testing.B) {
 	yes := graph.Figure1YesInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if props.ThreeRoundThreeColorable(no) || !props.ThreeRoundThreeColorable(yes) {
+		if props.ThreeRoundThreeColorable(no, search.Options{}) || !props.ThreeRoundThreeColorable(yes, search.Options{}) {
 			b.Fatal("figure 1 game value changed")
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkFig1ThreeRoundColoring(b *testing.B) {
 // Figure 2/13 (Propositions 24 and 26).
 func BenchmarkFig2Separations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if !experiments.Figure2Separations().OK() {
+		if !experiments.Figure2Separations(search.Options{}).OK() {
 			b.Fatal("separation experiment failed")
 		}
 	}
@@ -132,7 +132,7 @@ func BenchmarkFig6Pictures(b *testing.B) {
 // BenchmarkFig7LocalityLadder regenerates the Figure 7 ladder experiment.
 func BenchmarkFig7LocalityLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if !experiments.Figure7Ladder().OK() {
+		if !experiments.Figure7Ladder(search.Options{}).OK() {
 			b.Fatal("ladder failed")
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkSpanningForestGame(b *testing.B) {
 	g := graph.Cycle(5).MustWithLabels([]string{"1", "1", "0", "1", "1"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !games.EveWinsPointsTo(g, games.IsUnselected) {
+		if !games.EveWinsPointsTo(g, games.IsUnselected, search.Options{}) {
 			b.Fatal("game value changed")
 		}
 	}
@@ -292,7 +292,11 @@ func BenchmarkCertificateGame(b *testing.B) {
 	domains := []cert.Domain{cert.UniformDomain(4, 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := arb.GameValue(g, id, domains)
+		prep, err := simulate.Prepare(g, id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ok, err := arb.Value(prep, nil, domains, core.Engine{})
 		if err != nil || !ok {
 			b.Fatal("game broke")
 		}
@@ -310,7 +314,7 @@ func BenchmarkThreeRoundColoringEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if props.ThreeRoundThreeColorableOpt(g, e.opts) {
+				if props.ThreeRoundThreeColorable(g, e.opts) {
 					b.Fatal("Adam lost the spider game")
 				}
 			}
@@ -338,7 +342,7 @@ func BenchmarkFig2SeparationsEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !experiments.Figure2SeparationsOpt(e.opts).OK() {
+				if !experiments.Figure2Separations(e.opts).OK() {
 					b.Fatal("separation experiment failed")
 				}
 			}
@@ -355,7 +359,7 @@ func BenchmarkNonColorableGameEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !games.EveWinsNonKColorableOpt(g, 3, e.opts) {
+				if !games.EveWinsNonKColorable(g, 3, e.opts) {
 					b.Fatal("K4 became 3-colorable")
 				}
 			}
@@ -371,7 +375,7 @@ func BenchmarkSpanningForestGameEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if games.EveWinsPointsToOpt(g, games.IsUnselected, e.opts) {
+				if games.EveWinsPointsTo(g, games.IsUnselected, e.opts) {
 					b.Fatal("game value changed")
 				}
 			}
@@ -436,7 +440,7 @@ func BenchmarkCoreGameEngines(b *testing.B) {
 		b.Run(tt.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ok, err := arb.GameValueEngine(prep, domains, tt.eng)
+				ok, err := arb.Value(prep, nil, domains, tt.eng)
 				if err != nil || ok {
 					b.Fatal("Σ3 game value changed")
 				}
@@ -504,7 +508,7 @@ func BenchmarkSweepEngines(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, rep := range experiments.AllOpt(e.opts) {
+				for _, rep := range experiments.All(e.opts) {
 					if !rep.OK() {
 						b.Fatalf("experiment %s failed under %s", rep.ID, e.name)
 					}

@@ -13,6 +13,8 @@ import (
 	"repro/internal/games"
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/search"
+	"repro/internal/simulate"
 )
 
 func main() {
@@ -20,9 +22,9 @@ func main() {
 	no := graph.Figure1NoInstance()
 	yes := graph.Figure1YesInstance()
 	fmt.Println("Figure 1a: 3-colorable =", props.ThreeColorable(no),
-		"| 3-round 3-colorable =", props.ThreeRoundThreeColorable(no), "(Adam wins)")
+		"| 3-round 3-colorable =", props.ThreeRoundThreeColorable(no, search.Options{}), "(Adam wins)")
 	fmt.Println("Figure 1b: 3-colorable =", props.ThreeColorable(yes),
-		"| 3-round 3-colorable =", props.ThreeRoundThreeColorable(yes), "(Eve wins)")
+		"| 3-round 3-colorable =", props.ThreeRoundThreeColorable(yes, search.Options{}), "(Eve wins)")
 
 	// --- Example 6: the Σ^lp_3 game for not-all-selected. ---
 	// Eve claims some node is unselected by exhibiting a spanning forest
@@ -32,9 +34,12 @@ func main() {
 	g := graph.Cycle(5).MustWithLabels([]string{"1", "1", "0", "1", "1"})
 	id := graph.SmallLocallyUnique(g, 1)
 	arb := games.NotAllSelectedArbiter()
-	ok, err := arb.StrategyGameValue(g, id,
-		[]core.Strategy{games.ForestStrategy(games.IsUnselected), nil, games.ChargeStrategy(nil)},
-		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
+	strategies := []core.Strategy{games.ForestStrategy(games.IsUnselected), nil, games.ChargeStrategy(nil)}
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ok, err := arb.Value(prep, strategies, []cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}}, core.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,9 +49,10 @@ func main() {
 	// On an all-selected cycle Eve has no winning first move: whatever
 	// forest she claims, Adam finds the flaw.
 	all := graph.Cycle(5).MustWithLabels(graph.AllSelectedLabels(5))
-	ok, err = arb.StrategyGameValue(all, id,
-		[]core.Strategy{games.ForestStrategy(games.IsUnselected), nil, games.ChargeStrategy(nil)},
-		[]cert.Domain{{}, cert.UniformDomain(all.N(), 1), {}})
+	if prep, err = simulate.Prepare(all, id); err != nil {
+		log.Fatal(err)
+	}
+	ok, err = arb.Value(prep, strategies, []cert.Domain{{}, cert.UniformDomain(all.N(), 1), {}}, core.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,6 +62,6 @@ func main() {
 	// The semantic layer evaluates the full game tree (every forest Eve
 	// could try, every challenge Adam could raise):
 	fmt.Println("\nexhaustive game evaluation (Example 6 semantics):")
-	fmt.Println("  cycle with one 0:", games.EveWinsPointsTo(g, games.IsUnselected))
-	fmt.Println("  all-selected:    ", games.EveWinsPointsTo(all, games.IsUnselected))
+	fmt.Println("  cycle with one 0:", games.EveWinsPointsTo(g, games.IsUnselected, search.Options{}))
+	fmt.Println("  all-selected:    ", games.EveWinsPointsTo(all, games.IsUnselected, search.Options{}))
 }

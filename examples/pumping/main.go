@@ -9,10 +9,11 @@ import (
 	"log"
 
 	"repro/internal/experiments"
+	"repro/internal/search"
 )
 
 func main() {
-	p24, err := experiments.Proposition24(9, nil)
+	p24, err := experiments.Proposition24(9, nil, search.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

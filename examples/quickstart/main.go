@@ -51,9 +51,11 @@ func main() {
 		RadiusID: 1,
 		Bound:    localph.CertBound{R: 1, P: localph.Polynomial{0, 2}},
 	}
-	ok, err := arb.StrategyGameValue(g, id,
-		[]localph.Strategy{arbiters.ColoringStrategy(3)},
-		[]cert.Domain{{}})
+	prep, err := localph.Prepare(g, id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ok, err := arb.Value(prep, []localph.Strategy{arbiters.ColoringStrategy(3)}, []cert.Domain{{}}, localph.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,8 +65,11 @@ func runNLP(t *testing.T, m *simulate.Machine, strat core.Strategy, g *graph.Gra
 		RadiusID: 1,
 		Bound:    cert.Bound{R: 1, P: cert.Polynomial{0, 4}},
 	}
-	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.StrategyGameValue(g, id, []core.Strategy{strat}, []cert.Domain{{}})
+	prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := arb.Value(prep, []core.Strategy{strat}, []cert.Domain{{}}, core.Engine{})
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
@@ -104,8 +107,11 @@ func TestTwoColorableSoundness(t *testing.T) {
 		RadiusID: 1,
 		Bound:    cert.Bound{R: 1, P: cert.Polynomial{0, 4}},
 	}
-	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(5, 1)})
+	prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := arb.Value(prep, nil, []cert.Domain{cert.UniformDomain(5, 1)}, core.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,11 @@ func TestTwoColorableSoundness(t *testing.T) {
 	}
 	// And on C4 a certificate exists.
 	g4 := graph.Cycle(4)
-	ok, err = arb.GameValue(g4, graph.SmallLocallyUnique(g4, 1), []cert.Domain{cert.UniformDomain(4, 1)})
+	prep, err = simulate.Prepare(g4, graph.SmallLocallyUnique(g4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err = arb.Value(prep, nil, []cert.Domain{cert.UniformDomain(4, 1)}, core.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

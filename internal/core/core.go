@@ -13,10 +13,11 @@
 //
 //   - Arbiter: a machine together with its level, identifier radius and
 //     certificate bound;
-//   - exhaustive game evaluation over finite certificate domains (for the
-//     small instances used in tests and experiments);
-//   - strategy-guided evaluation, where Eve's moves are produced by the
-//     constructive strategies from the paper's proofs;
+//   - one game evaluator, Arbiter.Value, which plays the game either
+//     exhaustively over finite certificate domains (for the small
+//     instances used in tests and experiments) or with Eve's moves
+//     produced by the constructive strategies from the paper's proofs,
+//     under a configurable Engine;
 //   - machine combinators (Product, WithPrecondition) used to realize the
 //     constructions in the proof of Lemma 11 (restrictive arbiters).
 package core
@@ -97,56 +98,56 @@ func (a *Arbiter) Run(g *graph.Graph, id graph.IDAssignment, assigns ...cert.Ass
 	return res.Accepted(), nil
 }
 
-// GameValue evaluates the alternating certificate game exhaustively over
-// the given per-move domains (len(domains) must equal the level's number of
-// alternations). It reports whether the first player to move — Eve for Σ
-// levels, Adam for Π levels — achieves her/his objective: the game value is
-// true iff
+// Strategy produces a certificate assignment for a player given the
+// opponent's previous moves (moves[0] = κ1, …). Eve's constructive
+// strategies from the paper's proofs (spanning trees, charges, colorings)
+// implement this type.
+//
+// Implementations must be pure functions of their arguments: under a
+// parallel engine a strategy below Adam's fanned-out universal level is
+// invoked concurrently from several workers, and the moves entries may
+// alias pooled buffers that are overwritten once the call returns — so a
+// strategy must not share mutable state across calls and must not retain
+// moves or its entries.
+type Strategy func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error)
+
+// Value evaluates the alternating certificate game on the prepared
+// instance and reports whether the first player to move — Eve for Σ
+// levels, Adam for Π levels — achieves her/his objective:
 //
 //	Q1 κ1 Q2 κ2 … : M(G, id, κ1·…·κℓ) ≡ accept
 //
-// with Q1 Q2 … the level's quantifier prefix.
+// with Q1 Q2 … the level's quantifier prefix and move i+1 ranging over
+// domains[i] (len(domains) must equal the level's number of
+// alternations).
 //
-// GameValue runs on the package default search engine (parallel across
-// all CPUs); GameValueOpt selects the engine.
-func (a *Arbiter) GameValue(g *graph.Graph, id graph.IDAssignment, domains []cert.Domain) (bool, error) {
-	return a.GameValueOpt(g, id, domains, search.Default())
-}
-
-// GameValueOpt is GameValue under explicit search options: the outermost
-// quantifier level whose space the engine considers worth splitting is
-// handed to the worker pool (short-circuit Exists for Eve, ForAll for
-// Adam), levels below it are enumerated sequentially within each worker,
-// and every game leaf runs against a single simulate.Prepared instance
-// so the per-(graph, id) setup is paid once for the whole game tree.
-// Quantifier values are independent of visitation order, so
-// GameValueOpt(…, Sequential()) and any parallel pool compute the same
-// value — the core parity tests assert this under the race detector.
-func (a *Arbiter) GameValueOpt(g *graph.Graph, id graph.IDAssignment, domains []cert.Domain, o search.Options) (bool, error) {
-	prep, err := simulate.Prepare(g, id)
+// With strategies == nil the game is exhaustive: every level enumerates
+// its domain. Otherwise Eve's moves come from strategies: strategies[i]
+// and domains[i] correspond to move i+1, an existential move needs a
+// strategy, and a universal move needs a non-empty domain and no
+// strategy. The slots are checked before any move is played. A true
+// strategy-game value means Eve's strategies defeat every Adam play —
+// which witnesses membership, since a winning strategy is in particular
+// a witness for each ∃. The converse (false ⇒ non-membership) holds only
+// when the strategies are optimal, as the paper's constructions are.
+//
+// The engine selects the worker pool, the memo table and the
+// optimization layers (see Engine); every configuration computes the
+// same value. The outermost level whose space the engine considers worth
+// splitting is handed to the worker pool (short-circuit Exists for Eve,
+// ForAll for Adam; Eve's strategy moves never branch), levels below it
+// are enumerated sequentially within each worker, and every leaf runs
+// against prep, so the per-(graph, id) setup is paid once for the whole
+// game tree — and once across games when the caller caches prep.
+// Strategy games are memoized only as a whole (quantifier-prefix
+// subgames depend on the opaque strategy closures) and only when the
+// engine carries a non-empty Salt naming the strategies; they never use
+// symmetry pruning.
+func (a *Arbiter) Value(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, e Engine) (bool, error) {
+	ev, err := newGameEval(a, prep, strategies, domains, e)
 	if err != nil {
 		return false, err
 	}
-	return a.GameValuePrepared(prep, domains, o)
-}
-
-// GameValuePrepared is GameValueOpt against an already-prepared
-// simulation instance, so callers that evaluate many games on the same
-// (graph, id) — notably the service layer's Prepared cache — skip the
-// per-instance setup entirely. It runs the optimized engine without a
-// memo table; GameValueEngine exposes the full configuration.
-func (a *Arbiter) GameValuePrepared(prep *simulate.Prepared, domains []cert.Domain, o search.Options) (bool, error) {
-	return a.GameValueEngine(prep, domains, Engine{Opts: o})
-}
-
-// GameValueEngine is the fully configurable evaluation entry point: the
-// engine selects the worker pool, the memo table, and the optimization
-// layers (see Engine). Every configuration computes the same game value.
-func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain, e Engine) (bool, error) {
-	if len(domains) != a.Level.Alternations {
-		return false, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
-	}
-	ev := newGameEval(a, prep, domains, e, false)
 	if len(domains) == 0 {
 		return ev.leaf(nil)
 	}
@@ -155,7 +156,15 @@ func (a *Arbiter) GameValueEngine(prep *simulate.Prepared, domains []cert.Domain
 	for i, en := range ev.enums {
 		chosen[i] = make(cert.Assignment, en.Len())
 	}
-	return ev.eval(chosen, 1, e, true)
+	if strategies == nil || ev.seed == "" {
+		return ev.eval(chosen, 1, e, true)
+	}
+	// Level index 0 is reserved for whole strategy games, so the key can
+	// never collide with an exhaustive subgame key (i >= 1) of the same
+	// seed.
+	return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, 0, nil), func() (bool, error) {
+		return ev.eval(chosen, 1, e, true)
+	})
 }
 
 // gameEval carries the state shared by every worker of one game
@@ -167,6 +176,9 @@ type gameEval struct {
 	a     *Arbiter
 	prep  *simulate.Prepared
 	enums []*cert.Enum
+	// strategies plays Eve's moves (nil in an exhaustive game; see
+	// Arbiter.Value).
+	strategies []Strategy
 
 	// seed is the memo key fingerprint ("" when memoization is off or
 	// the machine is unnamed; see evalSeed).
@@ -194,25 +206,45 @@ type leafScratch struct {
 	sim   *simulate.Scratch
 }
 
-// newGameEval compiles the domains and derives the optimization-layer
-// state the engine enables. strategic marks a strategy-guided game,
-// which never uses symmetry pruning: a Strategy observes node indices
-// through the graph, so its replies need not be equivariant under the
-// automorphisms, and orbit pruning of Adam's moves would be unsound.
-func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng Engine, strategic bool) *gameEval {
-	ev := &gameEval{a: a, prep: prep, enums: make([]*cert.Enum, len(domains))}
-	//lint:coarse domain compilation bounded by the level's alternation depth
+// newGameEval checks the move slots, compiles the domains and derives
+// the optimization-layer state the engine enables. Strategy games never
+// use symmetry pruning: a Strategy observes node indices through the
+// graph, so its replies need not be equivariant under the automorphisms,
+// and orbit pruning of Adam's moves would be unsound.
+func newGameEval(a *Arbiter, prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, eng Engine) (*gameEval, error) {
+	l := a.Level.Alternations
+	if len(domains) != l {
+		return nil, fmt.Errorf("core: %d domains for level %v", len(domains), a.Level)
+	}
+	if strategies != nil && len(strategies) != l {
+		return nil, fmt.Errorf("core: %d strategies for level %v", len(strategies), a.Level)
+	}
+	ev := &gameEval{a: a, prep: prep, strategies: strategies, enums: make([]*cert.Enum, l)}
+	//lint:coarse slot check and domain compilation bounded by the level's alternation depth
 	for i, d := range domains {
 		ev.enums[i] = d.Enum()
+		if strategies == nil {
+			continue
+		}
+		switch {
+		case a.Level.ExistentialAt(i + 1):
+			if strategies[i] == nil {
+				return nil, fmt.Errorf("core: move %d is existential but has no strategy", i+1)
+			}
+		case strategies[i] != nil:
+			return nil, fmt.Errorf("core: move %d is universal but has a strategy", i+1)
+		case ev.enums[i].Len() == 0:
+			return nil, fmt.Errorf("core: move %d is universal but has no domain", i+1)
+		}
 	}
-	if l := len(ev.enums); l > 0 {
+	if l > 0 {
 		if last := ev.enums[l-1]; !eng.NoBitset && last.Len() > 0 {
 			ev.packed, _ = last.Pack()
 		}
-		if !eng.NoSymmetry && !strategic {
+		if !eng.NoSymmetry && strategies == nil {
 			ev.initSymmetry()
 		}
-		if eng.Memo != nil {
+		if eng.Memo != nil && (strategies == nil || eng.Salt != "") {
 			ev.seed = evalSeed(a, prep, ev.enums, eng.Salt)
 		}
 	}
@@ -231,7 +263,7 @@ func newGameEval(a *Arbiter, prep *simulate.Prepared, domains []cert.Domain, eng
 			return ls
 		})
 	}
-	return ev
+	return ev, nil
 }
 
 func (ev *gameEval) fail(err error) {
@@ -267,15 +299,28 @@ func (ev *gameEval) leaf(chosen []cert.Assignment) (bool, error) {
 }
 
 // eval evaluates quantifier levels i..ℓ; chosen holds one assignment
-// buffer per level, with chosen[0..i-2] the moves already decoded above.
-// Subgames at the outer levels are served from the memo table when one
-// is configured — the whole-game entry (i == 1, empty prefix) is the
-// warm-path hit that makes repeated evaluations of the same game a
-// single table lookup. par marks that no enclosing level has been fanned
-// out yet (see evalLevel).
+// slot per level, with chosen[0..i-2] the moves already played above.
+// In a strategy game an existential level is Eve's strategy move: it is
+// stored in chosen[i-1] and play continues below without branching.
+// Exhaustive subgames at the outer levels are served from the memo table
+// when one is configured — the whole-game entry (i == 1, empty prefix)
+// is the warm-path hit that makes repeated evaluations of the same game
+// a single table lookup. par marks that no enclosing level has been
+// fanned out yet (see evalLevel).
 func (ev *gameEval) eval(chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
 	if i > len(ev.enums) {
 		return ev.leaf(chosen)
+	}
+	if ev.strategies != nil {
+		if ev.a.Level.ExistentialAt(i) {
+			k, err := ev.strategies[i-1](ev.prep.Graph(), ev.prep.ID(), append([]cert.Assignment(nil), chosen[:i-1]...))
+			if err != nil {
+				return false, err
+			}
+			chosen[i-1] = k
+			return ev.eval(chosen, i+1, e, par)
+		}
+		return ev.evalLevel(chosen, i, e, par)
 	}
 	if ev.seed != "" && i <= memoMaxLevel {
 		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, i, chosen[:i-1]), func() (bool, error) {
@@ -422,188 +467,6 @@ func (ev *gameEval) evalPackedLeaves(chosen []cert.Assignment, i int, e Engine, 
 		return !existential, nil
 	}
 	return existential, nil
-}
-
-// Strategy produces a certificate assignment for a player given the
-// opponent's previous moves (moves[0] = κ1, …). Eve's constructive
-// strategies from the paper's proofs (spanning trees, charges, colorings)
-// implement this type.
-//
-// Implementations must be pure functions of their arguments: under a
-// parallel engine a strategy below Adam's fanned-out universal level is
-// invoked concurrently from several workers, and the moves entries may
-// alias pooled buffers that are overwritten once the call returns — so a
-// strategy must not share mutable state across calls and must not retain
-// moves or its entries.
-type Strategy func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error)
-
-// StrategyGameValue evaluates the game with Eve's moves produced by
-// strategies and Adam's moves enumerated exhaustively over domains.
-// strategies[i] and domains[i] correspond to move i+1 and exactly one of
-// them must be non-nil, matching the level's quantifier at that position
-// (strategies for existential moves, domains for universal moves).
-//
-// The result true means Eve's strategies defeat every Adam play — which
-// witnesses membership, since a winning strategy is in particular a
-// witness for each ∃. The converse (false ⇒ non-membership) holds only
-// when the strategies are optimal, as the paper's constructions are.
-//
-// StrategyGameValue runs on the package default search engine (parallel
-// across all CPUs); StrategyGameValueOpt selects the engine.
-func (a *Arbiter) StrategyGameValue(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, domains []cert.Domain) (bool, error) {
-	return a.StrategyGameValueOpt(g, id, strategies, domains, search.Default())
-}
-
-// StrategyGameValueOpt is StrategyGameValue under explicit search
-// options. Eve's strategy moves are deterministic, so the game tree only
-// branches at Adam's universal levels: the outermost universal level
-// whose domain the engine considers worth splitting is handed to the
-// worker pool (short-circuit ForAll), everything below it runs
-// sequentially within each worker, and all leaves share one
-// simulate.Prepared instance.
-func (a *Arbiter) StrategyGameValueOpt(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, domains []cert.Domain, o search.Options) (bool, error) {
-	prep, err := simulate.Prepare(g, id)
-	if err != nil {
-		return false, err
-	}
-	return a.StrategyGameValuePrepared(prep, strategies, domains, o)
-}
-
-// StrategyGameValuePrepared is StrategyGameValueOpt against an
-// already-prepared simulation instance (the graph and identifier
-// assignment are taken from it), so repeated verifications of the same
-// graph — the service layer's cache hit path — pay the per-(graph, id)
-// setup only once.
-func (a *Arbiter) StrategyGameValuePrepared(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, o search.Options) (bool, error) {
-	return a.StrategyGameValueEngine(prep, strategies, domains, Engine{Opts: o})
-}
-
-// StrategyGameValueEngine is StrategyGameValuePrepared under a full
-// engine configuration. Strategy-guided games are memoized only as a
-// whole (quantifier-prefix subgames depend on the opaque strategy
-// closures) and only when the engine carries a non-empty Salt naming
-// the strategies; they never use symmetry pruning (see newGameEval).
-func (a *Arbiter) StrategyGameValueEngine(prep *simulate.Prepared, strategies []Strategy, domains []cert.Domain, e Engine) (bool, error) {
-	l := a.Level.Alternations
-	if len(strategies) != l || len(domains) != l {
-		return false, fmt.Errorf("core: need %d strategy/domain slots", l)
-	}
-	ev := newGameEval(a, prep, domains, e, true)
-	run := func() (bool, error) {
-		return ev.strategyRec(prep.Graph(), prep.ID(), strategies, make([]cert.Assignment, 0, l), 1, e, true)
-	}
-	if ev.seed != "" && e.Salt != "" {
-		// Level index 0 is reserved for whole strategy games, so the key
-		// can never collide with an exhaustive subgame key (i >= 1) of
-		// the same seed.
-		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, 0, nil), run)
-	}
-	return run()
-}
-
-// strategyRec evaluates move i of the strategy-guided game with the
-// prefix chosen already played. par marks that no enclosing universal
-// level has been fanned out yet, so this one may claim the pool.
-func (ev *gameEval) strategyRec(g *graph.Graph, id graph.IDAssignment, strategies []Strategy, chosen []cert.Assignment, i int, e Engine, par bool) (bool, error) {
-	l := len(ev.enums)
-	if i > l {
-		return ev.leaf(chosen)
-	}
-	if ev.a.Level.ExistentialAt(i) {
-		if strategies[i-1] == nil {
-			return false, fmt.Errorf("core: move %d is existential but has no strategy", i)
-		}
-		k, err := strategies[i-1](g, id, append([]cert.Assignment(nil), chosen...))
-		if err != nil {
-			return false, err
-		}
-		return ev.strategyRec(g, id, strategies, append(chosen, k), i+1, e, par)
-	}
-	if ev.enums[i-1].Len() == 0 {
-		return false, fmt.Errorf("core: move %d is universal but has no domain", i)
-	}
-	enum := ev.enums[i-1]
-	space := enum.Space()
-	if par && search.Splittable(e.Opts, space) {
-		// Fan this universal level out across the pool. Workers below it
-		// run sequentially, each on its own copy of the move prefix.
-		prefix := append([]cert.Assignment(nil), chosen...)
-		scratch := search.NewScratch(func() cert.Assignment {
-			return make(cert.Assignment, enum.Len())
-		})
-		ok, err := search.ForAll(e.Opts, space, func(choices []int) bool {
-			buf, release := scratch.Get()
-			defer release()
-			enum.Decode(choices, buf)
-			child := make([]cert.Assignment, 0, l)
-			child = append(append(child, prefix...), buf)
-			v, err := ev.strategyRec(g, id, strategies, child, i+1, e, false)
-			if err != nil {
-				ev.fail(err)
-				return false // a counterexample stops the ForAll
-			}
-			return v
-		})
-		if ev.err != nil {
-			return false, ev.err
-		}
-		if err != nil {
-			return false, err
-		}
-		return ok, nil
-	}
-	if i == l && ev.packed != nil {
-		// Innermost universal level: packed enumeration straight to the
-		// leaves, rewriting only the carry-touched certificate strings.
-		buf := make(cert.Assignment, enum.Len())
-		var innerErr error
-		complete := ev.packed.ForEach(buf, func(cert.Assignment) bool {
-			if e.Opts.Ctx != nil {
-				if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-					return false
-				}
-			}
-			v, err := ev.strategyRec(g, id, strategies, append(chosen, buf), i+1, e, par)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			return v // a counterexample stops the walk
-		})
-		if innerErr != nil {
-			return false, innerErr
-		}
-		return complete, nil
-	}
-	buf := make(cert.Assignment, enum.Len())
-	ok := true
-	var innerErr error
-	search.ForEach(space, func(choices []int) bool {
-		// The parallel fan-out polls the engine ctx inside search.ForAll;
-		// this sequential walk must poll it too so a canceled request
-		// aborts regardless of the engine (leaves are machine runs, so
-		// one check per iteration is cheap).
-		if e.Opts.Ctx != nil {
-			if innerErr = e.Opts.Ctx.Err(); innerErr != nil {
-				return false
-			}
-		}
-		enum.Decode(choices, buf)
-		v, err := ev.strategyRec(g, id, strategies, append(chosen, buf), i+1, e, par)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if !v {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if innerErr != nil {
-		return false, innerErr
-	}
-	return ok, nil
 }
 
 // encodeTuple/decodeTuple pack several machine messages into one (used by

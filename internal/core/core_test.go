@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cert"
@@ -43,18 +45,28 @@ func certEqualsLabel(level Level) *Arbiter {
 	return &Arbiter{Machine: m, Level: level, RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
 }
 
+// mustPrepare builds the simulation instance a game runs against.
+func mustPrepare(t *testing.T, g *graph.Graph, id graph.IDAssignment) *simulate.Prepared {
+	t.Helper()
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
 func TestGameValueExistential(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(2).MustWithLabels([]string{"0", "1"})
 	id := graph.GloballyUnique(g)
 	arb := certEqualsLabel(Sigma(1))
 	// Eve can match each label with a 1-bit certificate.
-	ok, err := arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 1)})
+	ok, err := arb.Value(mustPrepare(t, g, id), nil, []cert.Domain{cert.UniformDomain(2, 1)}, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("∃ should succeed: %v %v", ok, err)
 	}
 	// With 0-length certificates only, Eve cannot match "0"/"1" labels.
-	ok, err = arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 0)})
+	ok, err = arb.Value(mustPrepare(t, g, id), nil, []cert.Domain{cert.UniformDomain(2, 0)}, Engine{})
 	if err != nil || ok {
 		t.Fatalf("∃ over empty strings should fail: %v %v", ok, err)
 	}
@@ -66,7 +78,7 @@ func TestGameValueUniversal(t *testing.T) {
 	id := graph.GloballyUnique(g)
 	arb := certEqualsLabel(Pi(1))
 	// ∀κ1: the machine rejects for most certificates.
-	ok, err := arb.GameValue(g, id, []cert.Domain{cert.UniformDomain(2, 1)})
+	ok, err := arb.Value(mustPrepare(t, g, id), nil, []cert.Domain{cert.UniformDomain(2, 1)}, Engine{})
 	if err != nil || ok {
 		t.Fatalf("∀ should fail: %v %v", ok, err)
 	}
@@ -99,7 +111,8 @@ func TestGameValueAlternation(t *testing.T) {
 	domains := []cert.Domain{cert.UniformDomain(1, 1), cert.UniformDomain(1, 1)}
 
 	// Σ2: ∃κ1∀κ2 — whatever Eve fixes, Adam can break parity.
-	ok, err := certParity(Sigma(2)).GameValue(g, id, domains)
+	prep := mustPrepare(t, g, id)
+	ok, err := certParity(Sigma(2)).Value(prep, nil, domains, Engine{})
 	if err != nil || ok {
 		t.Fatalf("Σ2 game should be false: %v %v", ok, err)
 	}
@@ -121,7 +134,7 @@ func TestGameValueAlternation(t *testing.T) {
 		Output: func(s any) string { return map[bool]string{true: "1", false: "0"}[s.(*st).ok] },
 	}
 	arb := &Arbiter{Machine: lenient, Level: Pi(2), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-	ok, err = arb.GameValue(g, id, domains)
+	ok, err = arb.Value(prep, nil, domains, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("Π2 game should be true: %v %v", ok, err)
 	}
@@ -139,9 +152,45 @@ func TestStrategyGameValue(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := arb.StrategyGameValue(g, id, []Strategy{copyLabels}, []cert.Domain{{}})
+	ok, err := arb.Value(mustPrepare(t, g, id), []Strategy{copyLabels}, []cert.Domain{{}}, Engine{})
 	if err != nil || !ok {
 		t.Fatalf("strategy should win: %v %v", ok, err)
+	}
+}
+
+// TestValueSlotContract: the move slots are checked once, before any
+// strategy runs — a misconfigured game must fail with its error and
+// without playing a move, even when the faulty slot is the last one.
+func TestValueSlotContract(t *testing.T) {
+	t.Parallel()
+	g := graph.Single("1")
+	prep := mustPrepare(t, g, graph.IDAssignment{""})
+	var calls atomic.Int64
+	eve := Strategy(func(g *graph.Graph, _ graph.IDAssignment, _ []cert.Assignment) (cert.Assignment, error) {
+		calls.Add(1)
+		return make(cert.Assignment, g.N()), nil
+	})
+	adam := cert.UniformDomain(1, 1)
+	arb := certParity(Sigma(2)) // ∃κ1 ∀κ2
+	for _, tt := range []struct {
+		name       string
+		strategies []Strategy
+		domains    []cert.Domain
+		want       string
+	}{
+		{"domain count", []Strategy{eve, nil}, []cert.Domain{{}}, "1 domains for level"},
+		{"strategy count", []Strategy{eve}, []cert.Domain{{}, adam}, "1 strategies for level"},
+		{"∃ without strategy", []Strategy{nil, nil}, []cert.Domain{{}, adam}, "move 1 is existential but has no strategy"},
+		{"∀ with strategy", []Strategy{eve, eve}, []cert.Domain{{}, adam}, "move 2 is universal but has a strategy"},
+		{"∀ with empty domain", []Strategy{eve, nil}, []cert.Domain{{}, {}}, "move 2 is universal but has no domain"},
+	} {
+		_, err := arb.Value(prep, tt.strategies, tt.domains, Engine{})
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: err = %v, want %q", tt.name, err, tt.want)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("strategies ran %d times before the slot check failed", n)
 	}
 }
 

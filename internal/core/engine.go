@@ -4,8 +4,8 @@ import "repro/internal/search"
 
 // Engine configures one game evaluation: the search options of the
 // worker pool plus the optimization layers added on top of it. The zero
-// value of every knob selects the optimized default, so
-// Engine{Opts: o} reproduces GameValuePrepared's behavior; Reference()
+// value of every knob selects the optimized default, so Engine{Opts: o}
+// runs every layer except the memo on o's worker pool; Reference()
 // turns every layer off and is the equivalence baseline the core parity
 // and property tests compare against.
 //

@@ -177,14 +177,14 @@ func TestMemoEnabledMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tt.arb.GameValueEngine(prep, tt.domains, Reference())
+		want, err := tt.arb.Value(prep, nil, tt.domains, Reference())
 		if err != nil {
 			t.Fatalf("%s reference: %v", tt.name, err)
 		}
 		memo := NewMemo(0)
 		for _, cfg := range engineConfigs(memo) {
 			for round := 0; round < 2; round++ {
-				got, err := tt.arb.GameValueEngine(prep, tt.domains, cfg.eng)
+				got, err := tt.arb.Value(prep, nil, tt.domains, cfg.eng)
 				if err != nil {
 					t.Fatalf("%s %s round %d: %v", tt.name, cfg.name, round, err)
 				}
@@ -223,13 +223,13 @@ func TestMemoSymmetricInstanceMatchesReference(t *testing.T) {
 		{"cert-parity Σ2", certParity(Sigma(2)), two},
 		{"cert-parity Π2", certParity(Pi(2)), two},
 	} {
-		want, err := tt.arb.GameValueEngine(prep, tt.domains, Reference())
+		want, err := tt.arb.Value(prep, nil, tt.domains, Reference())
 		if err != nil {
 			t.Fatalf("%s reference: %v", tt.name, err)
 		}
 		memo := NewMemo(0)
 		for _, cfg := range engineConfigs(memo) {
-			got, err := tt.arb.GameValueEngine(prep, tt.domains, cfg.eng)
+			got, err := tt.arb.Value(prep, nil, tt.domains, cfg.eng)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tt.name, cfg.name, err)
 			}

@@ -87,12 +87,13 @@ func TestGameValueParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, tt := range coreParityCases() {
 		id := graph.GloballyUnique(tt.g)
-		want, err := tt.arb.GameValueOpt(tt.g, id, tt.domains, search.Sequential())
+		prep := mustPrepare(t, tt.g, id)
+		want, err := tt.arb.Value(prep, nil, tt.domains, Engine{Opts: search.Sequential()})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tt.name, err)
 		}
 		for _, workers := range []int{0, 4} {
-			got, err := tt.arb.GameValueOpt(tt.g, id, tt.domains, search.Parallel(workers))
+			got, err := tt.arb.Value(prep, nil, tt.domains, Engine{Opts: search.Parallel(workers)})
 			if err != nil {
 				t.Fatalf("%s parallel(%d): %v", tt.name, workers, err)
 			}
@@ -109,37 +110,37 @@ func TestGameValueParallelMatchesSequential(t *testing.T) {
 func TestGameValueOptAgreesWithGroundTruth(t *testing.T) {
 	t.Parallel()
 	p4 := graph.Path(4).MustWithLabels([]string{"0", "1", "1", "0"})
-	id := graph.GloballyUnique(p4)
+	prep := mustPrepare(t, p4, graph.GloballyUnique(p4))
 	domains := []cert.Domain{cert.UniformDomain(4, 1)}
 	for _, o := range []search.Options{search.Sequential(), search.Parallel(4)} {
 		// Eve matches each label with a 1-bit certificate.
-		ok, err := certEqualsLabel(Sigma(1)).GameValueOpt(p4, id, domains, o)
+		ok, err := certEqualsLabel(Sigma(1)).Value(prep, nil, domains, Engine{Opts: o})
 		if err != nil || !ok {
 			t.Fatalf("Σ1 should hold: %v %v", ok, err)
 		}
 		// Adam exhibits a mismatching certificate.
-		ok, err = certEqualsLabel(Pi(1)).GameValueOpt(p4, id, domains, o)
+		ok, err = certEqualsLabel(Pi(1)).Value(prep, nil, domains, Engine{Opts: o})
 		if err != nil || ok {
 			t.Fatalf("Π1 should fail: %v %v", ok, err)
 		}
 		// ∃κ1∀κ2∃κ3: Eve's κ3(u) = κ1(u)⊕κ2(u)⊕label(u) always exists
 		// once κ1, κ2 are single bits — but Adam can play an invalid κ2
 		// (e.g. the empty string), which no κ3 repairs, so Σ3 is false.
-		ok, err = tripleParity(Sigma(3)).GameValueOpt(p4, id,
-			[]cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}, o)
+		ok, err = tripleParity(Sigma(3)).Value(prep, nil,
+			[]cert.Domain{cert.UniformDomain(4, 1), cert.UniformDomain(4, 1), cert.UniformDomain(4, 1)}, Engine{Opts: o})
 		if err != nil || ok {
 			t.Fatalf("Σ3 triple parity should fail: %v %v", ok, err)
 		}
 	}
 }
 
-// TestStrategyGameValueParallelMatchesSequential covers the
-// strategy-guided evaluator: Eve's moves are produced by strategies,
-// Adam's universal level fans out across the pool.
+// TestStrategyGameValueParallelMatchesSequential covers strategy games:
+// Eve's moves are produced by strategies, Adam's universal level fans
+// out across the pool.
 func TestStrategyGameValueParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	p4 := graph.Path(4).MustWithLabels([]string{"0", "1", "1", "0"})
-	id := graph.GloballyUnique(p4)
+	prep := mustPrepare(t, p4, graph.GloballyUnique(p4))
 
 	// Π2 on the lenient parity machine: Adam opens with any κ1, Eve
 	// answers κ2(u) = κ1(u)⊕label(u)⊕1 when κ1(u) is a bit and "" (an
@@ -172,7 +173,7 @@ func TestStrategyGameValueParallelMatchesSequential(t *testing.T) {
 	strategies := []Strategy{nil, answer}
 	domains := []cert.Domain{cert.UniformDomain(4, 1), {}}
 
-	want, err := arb.StrategyGameValueOpt(p4, id, strategies, domains, search.Sequential())
+	want, err := arb.Value(prep, strategies, domains, Engine{Opts: search.Sequential()})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -180,7 +181,7 @@ func TestStrategyGameValueParallelMatchesSequential(t *testing.T) {
 		t.Fatal("Eve's answering strategy should win the Π2 game")
 	}
 	for _, workers := range []int{0, 4} {
-		got, err := arb.StrategyGameValueOpt(p4, id, strategies, domains, search.Parallel(workers))
+		got, err := arb.Value(prep, strategies, domains, Engine{Opts: search.Parallel(workers)})
 		if err != nil {
 			t.Fatalf("parallel(%d): %v", workers, err)
 		}

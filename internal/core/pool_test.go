@@ -59,7 +59,7 @@ func TestPooledLeafPrefixIsolation(t *testing.T) {
 		var rec sync.Map
 		var inits atomic.Int64
 		arb := &Arbiter{Machine: recordingMatcher(&rec, &inits), Level: Pi(2), RadiusID: 1}
-		ok, err := arb.GameValueEngine(prep, domains, eng)
+		ok, err := arb.Value(prep, nil, domains, eng)
 		if err != nil || !ok {
 			t.Fatalf("∀κ1 ∃κ2=κ1 game: (%v, %v), want (true, nil)", ok, err)
 		}

@@ -109,12 +109,13 @@ func TestRelativizedGameEqualsRestrictedGame(t *testing.T) {
 
 		mc := Relativize(matchMachine(), Sigma(1), []Restrictor{oneBitRestrictor(1)}, 1)
 		arbLoose := &Arbiter{Machine: mc, Level: Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-		got, err := arbLoose.GameValue(g, id, loose)
+		prep := mustPrepare(t, g, id)
+		got, err := arbLoose.Value(prep, nil, loose, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		arbStrict := &Arbiter{Machine: matchMachine(), Level: Sigma(1), RadiusID: 1, Bound: cert.Bound{R: 1, P: cert.Polynomial{8}}}
-		want, err := arbStrict.GameValue(g, id, strict)
+		want, err := arbStrict.Value(prep, nil, strict, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}

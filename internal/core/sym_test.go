@@ -40,7 +40,7 @@ func TestSymmetryPrunes(t *testing.T) {
 	leaves := func(eng Engine) int64 {
 		var inits atomic.Int64
 		arb := &Arbiter{Machine: countingAcceptor(&inits), Level: Pi(1), RadiusID: 1}
-		ok, err := arb.GameValueEngine(prep, domains, eng)
+		ok, err := arb.Value(prep, nil, domains, eng)
 		if err != nil || !ok {
 			t.Fatalf("all-accepting Π1 game: (%v, %v), want (true, nil)", ok, err)
 		}
@@ -69,7 +69,10 @@ func TestSymmetryRequiresDistinctNeighborIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	arb := &Arbiter{Machine: countingAcceptor(new(atomic.Int64)), Level: Pi(1), RadiusID: 1}
-	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, false)
+	ev, err := newGameEval(arb, prep, nil, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ev.auts) != 0 || len(ev.autInv) != 0 {
 		t.Fatalf("ambiguous neighborhood ids still collected %d automorphisms", len(ev.auts))
 	}
@@ -81,7 +84,10 @@ func TestSymmetryRequiresDistinctNeighborIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2 := newGameEval(arb, prep2, []cert.Domain{cert.UniformDomain(6, 1)}, Engine{Opts: search.Sequential()}, false)
+	ev2, err := newGameEval(arb, prep2, nil, []cert.Domain{cert.UniformDomain(6, 1)}, Engine{Opts: search.Sequential()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ev2.auts) == 0 {
 		t.Fatal("period-3 C6 collected no automorphisms")
 	}
@@ -99,7 +105,10 @@ func TestSymmetryNeverPrunesStrategyGames(t *testing.T) {
 		t.Fatal(err)
 	}
 	arb := &Arbiter{Machine: countingAcceptor(new(atomic.Int64)), Level: Pi(1), RadiusID: 1}
-	ev := newGameEval(arb, prep, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()}, true)
+	ev, err := newGameEval(arb, prep, []Strategy{nil}, []cert.Domain{cert.UniformDomain(4, 1)}, Engine{Opts: search.Sequential()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ev.auts) != 0 {
 		t.Fatalf("strategic evaluation collected %d automorphisms, want 0", len(ev.auts))
 	}

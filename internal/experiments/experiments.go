@@ -4,11 +4,7 @@
 // flag is asserted by the integration tests and summarized by cmd/figures.
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/search"
-)
+import "fmt"
 
 // Row is one printable line of an experiment report.
 type Row struct {
@@ -59,11 +55,4 @@ func row(name string, expected, measured any) Row {
 	e := fmt.Sprintf("%v", expected)
 	m := fmt.Sprintf("%v", measured)
 	return Row{Name: name, Expected: e, Measured: m, OK: e == m}
-}
-
-// All runs every experiment in the repository's index order on the
-// default engine — the suite fans out across the pool via the sweep
-// engine (see sweep.go); AllOpt selects the engine explicitly.
-func All() []*Report {
-	return AllOpt(search.Default())
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/props"
 	"repro/internal/reduce"
+	"repro/internal/search"
 	"repro/internal/simulate"
 	"repro/internal/structure"
 )
@@ -64,7 +65,7 @@ func ExampleFormulas() *Report {
 		{graph.Cycle(3), 2}, {graph.Cycle(4), 2}, {graph.Complete(4), 3}, {graph.Cycle(3), 3},
 	} {
 		want := !props.KColorable(tt.g, tt.k)
-		if games.EveWinsNonKColorable(tt.g, tt.k) != want {
+		if games.EveWinsNonKColorable(tt.g, tt.k, search.Options{}) != want {
 			e7 = false
 		}
 	}
@@ -147,10 +148,14 @@ func FaginCrossValidation() *Report {
 				mismatches++
 				continue
 			}
+			prep, err := simulate.Prepare(g, graph.SmallLocallyUnique(g, 1))
+			if err != nil {
+				mismatches++
+				continue
+			}
 			arb := &core.Arbiter{Machine: p.machine, Level: core.Sigma(1), RadiusID: 1,
 				Bound: cert.Bound{R: 1, P: cert.Polynomial{0, 2}}}
-			mval, err := arb.StrategyGameValue(g, graph.SmallLocallyUnique(g, 1),
-				[]core.Strategy{p.eve}, []cert.Domain{{}})
+			mval, err := arb.Value(prep, []core.Strategy{p.eve}, []cert.Domain{{}}, core.Engine{})
 			if err != nil {
 				mismatches++
 				continue

@@ -79,18 +79,12 @@ func badlyColored(g *graph.Graph, cs ColorSets, u int) bool {
 // color-set proposal of Adam, Eve must win the PointsTo[¬WellColored]
 // sub-game — i.e. some node must be badly colored and she must be able to
 // anchor a refutation forest there. The value is true iff g is not
-// k-colorable.
-func EveWinsNonKColorable(g *graph.Graph, k int) bool {
-	return EveWinsNonKColorableOpt(g, k, search.Default())
-}
-
-// EveWinsNonKColorableOpt is EveWinsNonKColorable under explicit search
-// options: Adam's outermost color-set proposals are searched by the
-// chosen engine, while each PointsTo sub-game runs sequentially inside
-// its worker (parallelizing the outermost universal quantifier is what
+// k-colorable. Adam's outermost color-set proposals are searched by the
+// engine o, while each PointsTo sub-game runs sequentially inside its
+// worker (parallelizing the outermost universal quantifier is what
 // splits the (2^k)^n-sized space; nesting pools would only oversubscribe
-// the CPUs). Do not set Options.Ctx here — see EveWinsPointsToOpt.
-func EveWinsNonKColorableOpt(g *graph.Graph, k int, o search.Options) bool {
+// the CPUs). Do not set Options.Ctx here — see EveWinsPointsTo.
+func EveWinsNonKColorable(g *graph.Graph, k int, o search.Options) bool {
 	n := g.N()
 	inner := o
 	inner.Workers = 1
@@ -100,7 +94,7 @@ func EveWinsNonKColorableOpt(g *graph.Graph, k int, o search.Options) bool {
 		defer put()
 		decodeColorSets(asm, k, cs)
 		target := func(g *graph.Graph, u int) bool { return badlyColored(g, cs, u) }
-		return EveWinsPointsToOpt(g, target, inner)
+		return EveWinsPointsTo(g, target, inner)
 	})
 	return allHandled
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/search"
 )
 
 // TestEveWinsNonKColorable: the Example 7 complementation game captures
@@ -30,7 +31,7 @@ func TestEveWinsNonKColorable(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			t.Parallel()
 			want := !props.KColorable(tt.g, tt.k)
-			if got := EveWinsNonKColorable(tt.g, tt.k); got != want {
+			if got := EveWinsNonKColorable(tt.g, tt.k, search.Options{}); got != want {
 				t.Fatalf("EveWinsNonKColorable = %v, want %v", got, want)
 			}
 		})

@@ -195,19 +195,14 @@ func SolveCharges(p Parents, x Challenge) ([]bool, bool) {
 //
 // Adam's challenges are enumerated exhaustively; Eve's charge responses
 // come from SolveCharges (which finds a response whenever one exists).
-// Eve's parent assignments are searched by the package default engine
-// (parallel across all CPUs); EveWinsPointsToOpt selects the engine.
-func EveWinsPointsTo(g *graph.Graph, target Target) bool {
-	return EveWinsPointsToOpt(g, target, search.Default())
-}
-
-// EveWinsPointsToOpt is EveWinsPointsTo under explicit search options.
-// The target must be safe for concurrent calls when the engine is
-// parallel (the paper's targets inspect only labels and degrees). Do
-// not set Options.Ctx here: on cancellation the Boolean returned is
-// meaningless, and this wrapper discards the error that would flag it —
-// callers needing cancellation should drive search.Exists directly.
-func EveWinsPointsToOpt(g *graph.Graph, target Target, o search.Options) bool {
+// Eve's parent assignments are searched by the engine o (search.Options{}
+// runs in parallel across all CPUs). The target must be safe for
+// concurrent calls when the engine is parallel (the paper's targets
+// inspect only labels and degrees). Do not set Options.Ctx here: on
+// cancellation the Boolean returned is meaningless, and this function
+// discards the error that would flag it — callers needing cancellation
+// should drive search.Exists directly.
+func EveWinsPointsTo(g *graph.Graph, target Target, o search.Options) bool {
 	scratch := newParentsScratch(g.N())
 	won, _ := search.Exists(o, parentsSpace(g), func(asm []int) bool {
 		p, put := scratch.Get()
@@ -263,14 +258,8 @@ func SolveUniqueness(g *graph.Graph, target Target, x Challenge) (bool, bool) {
 // Example 8 exactly: PointsTo plus Adam's second line of attack on the
 // uniqueness of the target node. Eve wins iff exactly one node satisfies
 // the target (and she can then produce a spanning tree rooted there).
-func EveWinsPointsToUnique(g *graph.Graph, target Target) bool {
-	return EveWinsPointsToUniqueOpt(g, target, search.Default())
-}
-
-// EveWinsPointsToUniqueOpt is EveWinsPointsToUnique under explicit
-// search options (same concurrency and Ctx caveats as
-// EveWinsPointsToOpt).
-func EveWinsPointsToUniqueOpt(g *graph.Graph, target Target, o search.Options) bool {
+// Same engine, concurrency and Ctx caveats as EveWinsPointsTo.
+func EveWinsPointsToUnique(g *graph.Graph, target Target, o search.Options) bool {
 	scratch := newParentsScratch(g.N())
 	won, _ := search.Exists(o, parentsSpace(g), func(asm []int) bool {
 		p, put := scratch.Get()
@@ -289,14 +278,9 @@ func EveWinsPointsToUniqueOpt(g *graph.Graph, target Target, o search.Options) b
 // EveWinsHamiltonian evaluates the Hamiltonian-cycle game of Example 9
 // exactly: Eve proposes a spanning tree that must be a Hamiltonian path
 // (unique root via PointsToUnique[Root], at most one child per node) whose
-// root is adjacent to the unique leaf without being its parent.
-func EveWinsHamiltonian(g *graph.Graph) bool {
-	return EveWinsHamiltonianOpt(g, search.Default())
-}
-
-// EveWinsHamiltonianOpt is EveWinsHamiltonian under explicit search
-// options (same Ctx caveat as EveWinsPointsToOpt).
-func EveWinsHamiltonianOpt(g *graph.Graph, o search.Options) bool {
+// root is adjacent to the unique leaf without being its parent. Same
+// engine and Ctx caveats as EveWinsPointsTo.
+func EveWinsHamiltonian(g *graph.Graph, o search.Options) bool {
 	n := g.N()
 	scratch := newParentsScratch(n)
 	won, _ := search.Exists(o, parentsSpace(g), func(asm []int) bool {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/props"
+	"repro/internal/search"
+	"repro/internal/simulate"
 )
 
 // forEachLabeling runs f on g with every single-bit labeling.
@@ -161,7 +163,7 @@ func TestEveWinsPointsToMatchesGroundTruth(t *testing.T) {
 		}
 		forEachLabeling(base, func(g *graph.Graph) {
 			want := props.NotAllSelected(g)
-			if got := EveWinsPointsTo(g, IsUnselected); got != want {
+			if got := EveWinsPointsTo(g, IsUnselected, search.Options{}); got != want {
 				t.Fatalf("%v: EveWinsPointsTo = %v, want %v", g, got, want)
 			}
 		})
@@ -178,7 +180,7 @@ func TestEveWinsPointsToUniqueMatchesGroundTruth(t *testing.T) {
 		}
 		forEachLabeling(base, func(g *graph.Graph) {
 			want := props.OneSelected(g)
-			if got := EveWinsPointsToUnique(g, IsSelected); got != want {
+			if got := EveWinsPointsToUnique(g, IsSelected, search.Options{}); got != want {
 				t.Fatalf("%v: EveWinsPointsToUnique = %v, want %v", g, got, want)
 			}
 		})
@@ -198,7 +200,7 @@ func TestEveWinsHamiltonianMatchesGroundTruth(t *testing.T) {
 	}
 	for _, g := range tops {
 		want := props.Hamiltonian(g)
-		if got := EveWinsHamiltonian(g); got != want {
+		if got := EveWinsHamiltonian(g, search.Options{}); got != want {
 			t.Fatalf("%v: EveWinsHamiltonian = %v, want %v", g, got, want)
 		}
 	}
@@ -241,16 +243,26 @@ func TestHamiltonianPathParents(t *testing.T) {
 
 // --- machine layer ------------------------------------------------------
 
+// play evaluates arb's game on (g, id) under the default engine.
+func play(t *testing.T, arb *core.Arbiter, g *graph.Graph, id graph.IDAssignment, strategies []core.Strategy, domains []cert.Domain) (bool, error) {
+	t.Helper()
+	prep, err := simulate.Prepare(g, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arb.Value(prep, strategies, domains, core.Engine{})
+}
+
 // strategyVerdict evaluates a Σ^lp_3 arbiter with Eve's strategies against
 // all of Adam's challenge bit assignments.
 func strategyVerdict(t *testing.T, arb *core.Arbiter, g *graph.Graph, move1, move3 core.Strategy) bool {
 	t.Helper()
 	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.StrategyGameValue(g, id,
+	ok, err := play(t, arb, g, id,
 		[]core.Strategy{move1, nil, move3},
 		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
 	if err != nil {
-		t.Fatalf("StrategyGameValue: %v", err)
+		t.Fatalf("Value: %v", err)
 	}
 	return ok
 }
@@ -319,7 +331,7 @@ func TestAdamCatchesCheatingEve(t *testing.T) {
 	cheat := core.Strategy(func(g *graph.Graph, id graph.IDAssignment, _ []cert.Assignment) (cert.Assignment, error) {
 		return encodeParents(Parents{1, 2, 0}, id), nil
 	})
-	ok, err := arb.StrategyGameValue(g, id,
+	ok, err := play(t, arb, g, id,
 		[]core.Strategy{cheat, nil, ChargeStrategy(nil)},
 		[]cert.Domain{{}, cert.UniformDomain(3, 1), {}})
 	if err != nil {

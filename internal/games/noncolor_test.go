@@ -70,7 +70,7 @@ func TestNonTwoColorableArbiter(t *testing.T) {
 	for _, g := range graphs {
 		want := props.NonTwoColorable(g)
 		id := graph.SmallLocallyUnique(g, 1)
-		got, err := arb.StrategyGameValue(g, id,
+		got, err := play(t, arb, g, id,
 			[]core.Strategy{NonTwoColorableStrategy(), nil, NonTwoColorChargeStrategy()},
 			[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
 		if err != nil {
@@ -105,7 +105,7 @@ func TestNonTwoColorableRejectsEvenCycleClaim(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := NonTwoColorableArbiter().StrategyGameValue(g, id,
+	ok, err := play(t, NonTwoColorableArbiter(), g, id,
 		[]core.Strategy{cheat, nil, NonTwoColorChargeStrategy()},
 		[]cert.Domain{{}, cert.UniformDomain(4, 1), {}})
 	if err != nil {

@@ -74,11 +74,11 @@ func TestSubtreeParities(t *testing.T) {
 func sigma3Verdict(t *testing.T, arb *core.Arbiter, g *graph.Graph, move1, move3 core.Strategy) bool {
 	t.Helper()
 	id := graph.SmallLocallyUnique(g, 1)
-	ok, err := arb.StrategyGameValue(g, id,
+	ok, err := play(t, arb, g, id,
 		[]core.Strategy{move1, nil, move3},
 		[]cert.Domain{{}, cert.UniformDomain(g.N(), 1), {}})
 	if err != nil {
-		t.Fatalf("StrategyGameValue: %v", err)
+		t.Fatalf("Value: %v", err)
 	}
 	return ok
 }
@@ -154,7 +154,7 @@ func TestOddArbiterRejectsForgedParity(t *testing.T) {
 		}
 		return out, nil
 	})
-	ok, err := OddArbiter().StrategyGameValue(g, id,
+	ok, err := play(t, OddArbiter(), g, id,
 		[]core.Strategy{forged, nil, oddChargeStrategy()},
 		[]cert.Domain{{}, cert.UniformDomain(2, 1), {}})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sat"
+	"repro/internal/search"
 )
 
 func TestSelectionProperties(t *testing.T) {
@@ -158,10 +159,10 @@ func TestFigure1(t *testing.T) {
 	if !ThreeColorable(no) || !ThreeColorable(yes) {
 		t.Fatal("both Figure 1 graphs are classically 3-colorable")
 	}
-	if ThreeRoundThreeColorable(no) {
+	if ThreeRoundThreeColorable(no, search.Options{}) {
 		t.Fatal("Figure 1a must NOT be 3-round 3-colorable (Adam wins)")
 	}
-	if !ThreeRoundThreeColorable(yes) {
+	if !ThreeRoundThreeColorable(yes, search.Options{}) {
 		t.Fatal("Figure 1b must be 3-round 3-colorable (Eve wins)")
 	}
 }
@@ -173,7 +174,7 @@ func TestThreeRoundImpliesThreeColorable(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
 		g := graph.RandomConnected(3+rng.Intn(4), 0.4, rng)
-		if ThreeRoundThreeColorable(g) && !ThreeColorable(g) {
+		if ThreeRoundThreeColorable(g, search.Options{}) && !ThreeColorable(g) {
 			t.Fatalf("3-round winner not 3-colorable: %v", g)
 		}
 	}
@@ -184,11 +185,11 @@ func TestThreeRoundImpliesThreeColorable(t *testing.T) {
 func TestThreeRoundNoMiddleNodes(t *testing.T) {
 	t.Parallel()
 	k4 := graph.Complete(4) // all degrees 3
-	if ThreeRoundThreeColorable(k4) != ThreeColorable(k4) {
+	if ThreeRoundThreeColorable(k4, search.Options{}) != ThreeColorable(k4) {
 		t.Fatal("no-degree-2 case should reduce to 3-colorability")
 	}
 	star := graph.Star(5) // degrees 4 and 1
-	if ThreeRoundThreeColorable(star) != ThreeColorable(star) {
+	if ThreeRoundThreeColorable(star, search.Options{}) != ThreeColorable(star) {
 		t.Fatal("star case should reduce to 3-colorability")
 	}
 }

@@ -11,14 +11,9 @@ import (
 // degree-2 nodes, and finally Eve chooses the colors of all remaining
 // nodes. The graph has the property iff Eve can always force a proper
 // 3-coloring. Exhaustive minimax over the three color blocks, run on
-// the package default engine (parallel across all CPUs);
-// ThreeRoundThreeColorableOpt selects the engine.
-func ThreeRoundThreeColorable(g *graph.Graph) bool {
-	return ThreeRoundThreeColorableOpt(g, search.Default())
-}
-
-// ThreeRoundThreeColorableOpt is ThreeRoundThreeColorable under explicit
-// search options. The pool is handed to exactly one minimax level:
+// the engine o (search.Options{} runs in parallel across all CPUs).
+//
+// The pool is handed to exactly one minimax level:
 // Eve's opening block (the outermost existential) when it is large
 // enough to split, otherwise Adam's block — each worker evaluates the
 // levels below it sequentially on worker-local color state. On
@@ -28,7 +23,7 @@ func ThreeRoundThreeColorable(g *graph.Graph) bool {
 // Options.Ctx here: on cancellation the Boolean returned is meaningless
 // and the error flagging it is discarded — callers needing cancellation
 // should drive the search package directly.
-func ThreeRoundThreeColorableOpt(g *graph.Graph, o search.Options) bool {
+func ThreeRoundThreeColorable(g *graph.Graph, o search.Options) bool {
 	t := newThreeRoundGame(g)
 	outerSpace := search.Uniform(len(t.deg1), 3)
 	outerOpts := o

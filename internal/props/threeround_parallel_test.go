@@ -45,8 +45,8 @@ func TestThreeRoundParallelMatchesSequential(t *testing.T) {
 		"spider 6": {spider(6), false},
 	}
 	for name, tt := range instances {
-		seq := ThreeRoundThreeColorableOpt(tt.g, search.Sequential())
-		par := ThreeRoundThreeColorableOpt(tt.g, search.Parallel(0))
+		seq := ThreeRoundThreeColorable(tt.g, search.Sequential())
+		par := ThreeRoundThreeColorable(tt.g, search.Parallel(0))
 		if seq != par {
 			t.Errorf("%s: parallel=%v sequential=%v", name, par, seq)
 		}

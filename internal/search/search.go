@@ -76,10 +76,6 @@ func Sequential() Options { return Options{Workers: 1} }
 // Parallel returns options for a pool of the given size (0 = all CPUs).
 func Parallel(workers int) Options { return Options{Workers: workers} }
 
-// Default returns the package default: the parallel engine sized to the
-// available CPUs.
-func Default() Options { return Options{} }
-
 func (o Options) pool() int {
 	if o.Workers > 0 {
 		return o.Workers

@@ -220,7 +220,7 @@ func VerifyMemo(prep *simulate.Prepared, name string, o search.Options, m *core.
 	}
 	arb := v.arb()
 	e := core.Engine{Opts: o, Memo: m, Salt: "verify/" + name}
-	return arb.StrategyGameValueEngine(prep, v.strategies(), v.domains(prep.Graph()), e)
+	return arb.Value(prep, v.strategies(), v.domains(prep.Graph()), e)
 }
 
 // reductions is the catalog behind Reduce.
@@ -313,7 +313,7 @@ func Game(name string, o search.Options) ([]GameResult, error) {
 		out = append(out, GameResult{
 			Graph:               tt.name,
 			ThreeColorable:      props.ThreeColorable(tt.g),
-			ThreeRoundColorable: props.ThreeRoundThreeColorableOpt(tt.g, o),
+			ThreeRoundColorable: props.ThreeRoundThreeColorable(tt.g, o),
 		})
 	}
 	return out, nil

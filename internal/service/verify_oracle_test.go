@@ -67,7 +67,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 		for _, name := range names {
 			v := verifiers()[name]
 			label := fmt.Sprintf("%s on graph %d (%v)", name, gi, g)
-			want, err := v.arb().StrategyGameValueEngine(prep, v.strategies(), v.domains(g), core.Reference())
+			want, err := v.arb().Value(prep, v.strategies(), v.domains(g), core.Reference())
 			if err != nil {
 				t.Fatalf("%s reference: %v", label, err)
 			}
@@ -75,7 +75,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 				trues++
 			}
 			for _, e := range engines {
-				got, err := v.arb().StrategyGameValueEngine(prep, v.strategies(), v.domains(g), e.eng)
+				got, err := v.arb().Value(prep, v.strategies(), v.domains(g), e.eng)
 				if err != nil {
 					t.Fatalf("%s %s: %v", label, e.name, err)
 				}

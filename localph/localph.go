@@ -87,6 +87,14 @@ var (
 // Strategy produces a player's certificate assignment.
 type Strategy = core.Strategy
 
+// Engine configures a game evaluation (worker pool, memo table,
+// optimization layers); the zero value is the optimized default.
+type Engine = core.Engine
+
+// Prepare builds the per-(graph, identifier) instance games are played
+// on (see Arbiter.Value).
+var Prepare = simulate.Prepare
+
 // CertAssignment is a certificate assignment κ.
 type CertAssignment = cert.Assignment
 
