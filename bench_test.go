@@ -498,7 +498,7 @@ func BenchmarkBatchSimulate(b *testing.B) {
 }
 
 // BenchmarkSweepEngines runs the WHOLE experiment suite through the
-// sharded sweep engine (experiments.AllOpt), sequential pool vs
+// sharded sweep engine (experiments.All), sequential pool vs
 // parallel pool — the PR 4 tentpole workload: experiments fan out
 // across the pool and each experiment's instance sweeps shard through
 // the same engine, so the suite's wall clock tracks the worker count

@@ -156,15 +156,14 @@ func (a *Arbiter) Value(prep *simulate.Prepared, strategies []Strategy, domains 
 	for i, en := range ev.enums {
 		chosen[i] = make(cert.Assignment, en.Len())
 	}
-	if strategies == nil || ev.seed == "" {
-		return ev.eval(chosen, 1, e, true)
+	run := func() (bool, error) { return ev.eval(chosen, 1, e, true) }
+	if strategies != nil && ev.seed != "" {
+		// Level index 0 is reserved for whole strategy games, so the key
+		// can never collide with an exhaustive subgame key (i >= 1) of the
+		// same seed.
+		return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, 0, nil), run)
 	}
-	// Level index 0 is reserved for whole strategy games, so the key can
-	// never collide with an exhaustive subgame key (i >= 1) of the same
-	// seed.
-	return e.Memo.Do(e.Opts.Ctx, subkey(ev.seed, 0, nil), func() (bool, error) {
-		return ev.eval(chosen, 1, e, true)
-	})
+	return run()
 }
 
 // gameEval carries the state shared by every worker of one game
@@ -250,7 +249,6 @@ func newGameEval(a *Arbiter, prep *simulate.Prepared, strategies []Strategy, dom
 	}
 	if !eng.NoPool {
 		n := prep.Graph().N()
-		l := len(ev.enums)
 		ev.leafPool = search.NewScratch(func() *leafScratch {
 			ls := &leafScratch{
 				lists: make([][]string, n),

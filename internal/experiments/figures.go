@@ -266,10 +266,10 @@ func Figure8TuringMachine(o search.Options) *Report {
 // Figure7Ladder reproduces the locality ladder of Figure 7: each property
 // is placed at its level by running the corresponding arbiter/game from
 // the paper on instance sweeps. Every sweep is a Sweep sharded across
-// the engine pool. The instance is the unit of
-// parallelism: each check plays its whole game on the sequential inner
-// engine (the Prepared.Batch discipline), so the pool is saturated by
-// instances rather than by one game's quantifier levels.
+// the engine pool. The instance is the unit of parallelism: each check
+// plays its whole game on the sequential inner engine (the
+// Prepared.Batch discipline), so the pool is saturated by instances
+// rather than by one game's quantifier levels.
 func Figure7Ladder(o search.Options) *Report {
 	r := &Report{ID: "Figure 7", Title: "locality ladder: properties at their levels"}
 	inner := search.Sequential()

@@ -352,14 +352,13 @@ func lcm(a, b int) int {
 }
 
 // Figure2Separations bundles the two ground-level separation experiments,
-// run concurrently on the engine o: the two propositions are independent
-// tasks, and Proposition
-// 24's machine runs fan out through a nested Map of their own. Each Map
-// spawns its own goroutines, so a parallel engine briefly runs up to
-// pool()+1 tasks — a deliberate trade: these are a handful of
-// coarse-grained runs, and GOMAXPROCS still bounds the running threads.
-// The report is assembled in the fixed sequential order regardless of
-// the engine.
+// run concurrently on the engine o: the two propositions are
+// independent tasks, and Proposition 24's machine runs fan out through a
+// nested Map of their own. Each Map spawns its own goroutines, so a
+// parallel engine briefly runs up to pool()+1 tasks — a deliberate
+// trade: these are a handful of coarse-grained runs, and GOMAXPROCS
+// still bounds the running threads. The report is assembled in the fixed
+// sequential order regardless of the engine.
 func Figure2Separations(o search.Options) *Report {
 	out := &Report{ID: "Figure 2", Title: "hierarchy separations at ground level"}
 	type result struct {

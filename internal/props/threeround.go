@@ -13,10 +13,10 @@ import (
 // 3-coloring. Exhaustive minimax over the three color blocks, run on
 // the engine o (search.Options{} runs in parallel across all CPUs).
 //
-// The pool is handed to exactly one minimax level:
-// Eve's opening block (the outermost existential) when it is large
-// enough to split, otherwise Adam's block — each worker evaluates the
-// levels below it sequentially on worker-local color state. On
+// The pool is handed to exactly one minimax level: Eve's opening block
+// (the outermost existential) when it is large enough to split,
+// otherwise Adam's block — each worker evaluates the levels below it
+// sequentially on worker-local color state. On
 // instances where every block is tiny (e.g. both Figure 1 graphs, whose
 // spaces are 3·9·27 assignments) the engine's small-space fallback
 // makes both engines take the same sequential path. Do not set

@@ -89,7 +89,6 @@ func TestVerifyMatchesReference(t *testing.T) {
 	if trues == 0 || trues == len(instances) {
 		t.Fatalf("%d of %d instances true: the oracle needs both verdicts", trues, len(instances))
 	}
-	t.Logf("%d instances, %d true", len(instances), trues)
 
 	m := core.NewMemo(0)
 	for _, pass := range []string{"cold", "warm"} {
