@@ -88,7 +88,9 @@ test-lifecycle:
 # FuzzIdempotencyKey over the strict Idempotency-Key validator,
 # FuzzReplayJournal over truncated/bit-flipped/garbage-extended
 # journal segments, and FuzzTraceparent over inbound W3C traceparent
-# headers (an invalid header must start a fresh trace, never error).
+# headers (an invalid header must start a fresh trace, never error),
+# and FuzzParseNeighbor over round-1 game messages (the IndexByte codec
+# must agree with the strings.SplitN/Join codec it replaced).
 # Invariant for all: no panics; the journal replay additionally
 # recovers every record before the first corruption.
 fuzz:
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test -run=- -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/journal
 	$(GO) test -run=- -fuzz=FuzzMemoKey -fuzztime=5s ./internal/core
 	$(GO) test -run=- -fuzz=FuzzTraceparent -fuzztime=5s ./internal/obs
+	$(GO) test -run=- -fuzz=FuzzParseNeighbor -fuzztime=5s ./internal/games
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

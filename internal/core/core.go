@@ -107,8 +107,10 @@ func (a *Arbiter) Run(g *graph.Graph, id graph.IDAssignment, assigns ...cert.Ass
 // parallel engine a strategy below Adam's fanned-out universal level is
 // invoked concurrently from several workers, and the moves entries may
 // alias pooled buffers that are overwritten once the call returns — so a
-// strategy must not share mutable state across calls and must not retain
-// moves or its entries.
+// strategy must not share mutable state across calls and must neither
+// modify nor retain moves or its entries. (moves is a capacity-capped
+// view of the engine's move slots, so an append to it reallocates
+// instead of overwriting the slot the strategy's reply goes into.)
 type Strategy func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error)
 
 // Value evaluates the alternating certificate game on the prepared
@@ -311,7 +313,7 @@ func (ev *gameEval) eval(chosen []cert.Assignment, i int, e Engine, par bool) (b
 	}
 	if ev.strategies != nil {
 		if ev.a.Level.ExistentialAt(i) {
-			k, err := ev.strategies[i-1](ev.prep.Graph(), ev.prep.ID(), append([]cert.Assignment(nil), chosen[:i-1]...))
+			k, err := ev.strategies[i-1](ev.prep.Graph(), ev.prep.ID(), chosen[:i-1:i-1])
 			if err != nil {
 				return false, err
 			}
@@ -345,16 +347,18 @@ func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par boo
 	if par && search.Splittable(e.Opts, space) {
 		// Fan this level out across the pool. chosen[0..i-2] are shared
 		// read-only (the enclosing sequential enumerators only decode
-		// again after the pool drains); each worker gets pooled buffers
-		// for this level and the ones below it.
+		// again after the pool drains); each worker gets a pooled slot
+		// slice holding that prefix and its own buffers for this level
+		// and the ones below it.
 		prefix := chosen[:i-1]
 		scratch := search.NewScratch(func() []cert.Assignment {
-			suffix := make([]cert.Assignment, len(ev.enums)-(i-1))
+			child := make([]cert.Assignment, len(ev.enums))
+			copy(child, prefix)
 			//lint:coarse allocation pass bounded by the level's alternation depth
-			for j := range suffix {
-				suffix[j] = make(cert.Assignment, ev.enums[i-1+j].Len())
+			for j := i - 1; j < len(child); j++ {
+				child[j] = make(cert.Assignment, ev.enums[j].Len())
 			}
-			return suffix
+			return child
 		})
 		pred := func(choices []int) bool {
 			if sym && ev.symSkip(choices) {
@@ -362,10 +366,8 @@ func (ev *gameEval) evalLevel(chosen []cert.Assignment, i int, e Engine, par boo
 				// neither witnesses the ∃ nor refutes the ∀.
 				return !existential
 			}
-			suffix, release := scratch.Get()
+			child, release := scratch.Get()
 			defer release()
-			child := make([]cert.Assignment, 0, len(ev.enums))
-			child = append(append(child, prefix...), suffix...)
 			enum.Decode(choices, child[i-1])
 			v, err := ev.eval(child, i+1, e, false)
 			if err != nil {

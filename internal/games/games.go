@@ -147,45 +147,56 @@ func ForEachChallenge(n int, yield func(Challenge) bool) bool {
 // response exists. Consistency fails exactly when some directed cycle of p
 // that is not a root self-loop has an odd number of challenged nodes.
 func SolveCharges(p Parents, x Challenge) ([]bool, bool) {
-	n := len(p)
-	y := make([]bool, n)
-	det := make([]int8, n) // 0 undetermined, 1 determined, 2 visiting
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		if det[u] == 1 {
-			return true
-		}
-		if det[u] == 2 {
-			// Hit a cycle: seed u arbitrarily (positive), then verify the
-			// cycle constraint when unwinding.
-			y[u] = true
-			det[u] = 1
-			return true
-		}
-		if p[u] == u {
-			y[u] = true // RootCase: roots are positive
-			det[u] = 1
-			return true
-		}
-		det[u] = 2
-		if !visit(p[u]) {
-			return false
-		}
-		want := y[p[u]] != x[u] // Y(u) = Y(parent) XOR X(u)
-		if det[u] == 1 {
-			// u was seeded as a cycle entry point: check consistency.
-			return y[u] == want
-		}
-		y[u] = want
-		det[u] = 1
-		return true
+	c := make([]chargeNode, len(p))
+	for u := range c {
+		c[u].parent, c[u].x = p[u], x[u]
 	}
-	for u := 0; u < n; u++ {
-		if !visit(u) {
-			return nil, false
-		}
+	if !solveCharges(c) {
+		return nil, false
+	}
+	y := make([]bool, len(c))
+	for u := range c {
+		y[u] = c[u].y
 	}
 	return y, true
+}
+
+// solveCharges is SolveCharges over c's parent and challenge fields,
+// writing the charges into c[u].y; c's visit marks must be zero.
+func solveCharges(c []chargeNode) bool {
+	for u := range c {
+		if !visitCharge(c, u) {
+			return false
+		}
+	}
+	return true
+}
+
+func visitCharge(c []chargeNode, u int) bool {
+	nd := &c[u]
+	switch {
+	case nd.det == 1:
+		return true
+	case nd.det == 2:
+		// Hit a cycle: seed u arbitrarily (positive), then verify the
+		// cycle constraint when unwinding.
+		nd.y, nd.det = true, 1
+		return true
+	case nd.parent == u:
+		nd.y, nd.det = true, 1 // RootCase: roots are positive
+		return true
+	}
+	nd.det = 2
+	if !visitCharge(c, nd.parent) {
+		return false
+	}
+	want := c[nd.parent].y != nd.x // Y(u) = Y(parent) XOR X(u)
+	if nd.det == 1 {
+		// u was seeded as a cycle entry point: check consistency.
+		return nd.y == want
+	}
+	nd.y, nd.det = want, 1
+	return true
 }
 
 // EveWinsPointsTo evaluates the PointsTo[target] game of Example 6

@@ -348,18 +348,18 @@ func TestEncodeDecodeParents(t *testing.T) {
 	id := graph.GloballyUnique(g)
 	p := Parents{0, 0, 1, 0}
 	enc := encodeParents(p, id)
-	dec, ok := decodeParents(g, id, enc)
-	if !ok {
+	dec := make([]chargeNode, g.N())
+	if !decodeParents(g, id, enc, nil, dec) {
 		t.Fatal("decode failed")
 	}
 	for u := range p {
-		if dec[u] != p[u] {
+		if dec[u].parent != p[u] {
 			t.Fatalf("roundtrip: %v vs %v", dec, p)
 		}
 	}
 	// A pointer to a non-neighbor identifier fails to decode.
 	bad := cert.Assignment{"1" + id[2], "0", "0", "0"} // 2 not adjacent to 0 in C4
-	if _, ok := decodeParents(g, id, bad); ok {
+	if decodeParents(g, id, bad, nil, dec) {
 		t.Fatal("non-neighbor pointer decoded")
 	}
 }

@@ -31,33 +31,30 @@ func UnselectedTarget(in simulate.Input) bool { return in.Label != "1" }
 func SelectedTarget(in simulate.Input) bool { return in.Label == "1" }
 
 type ptState struct {
-	in       simulate.Input
-	isRoot   bool
+	id       string
+	degree   int
 	parentID string
+	isRoot   bool
 	x        bool
 	y        bool
 	z        bool
 	ok       bool
-	// learned in round 2
-	parentSeen  bool
-	parentY     bool
-	unique      bool // running verdict for the uniqueness checks
+	// targetHolds is the target of the uniqueness checks: the node's
+	// label predicate, or "is a root" for the spanning-tree games.
 	targetHolds bool
+	// send backs the reply slice of a node of degree ≤ len(send), so a
+	// round's reply costs no allocation beyond its message (simulate
+	// copies the reply before the next Round call on the same state).
+	send [4]string
 }
 
-func parsePTState(in simulate.Input, target LocalTarget) *ptState {
-	s := &ptState{in: in, ok: true, unique: true}
-	s.targetHolds = target(in)
-	k1, k2, k3 := "", "", ""
-	if len(in.Certs) > 0 {
-		k1 = in.Certs[0]
-	}
-	if len(in.Certs) > 1 {
-		k2 = in.Certs[1]
-	}
-	if len(in.Certs) > 2 {
-		k3 = in.Certs[2]
-	}
+// parse fills s from the node's local input with κ1 = k1 (the parent
+// pointer alone: games that extend κ1 pass it with their own fields
+// split off) and κ2, κ3 from in.Certs. targetHolds is left to the caller.
+func (s *ptState) parse(in simulate.Input, k1 string) {
+	s.id = in.ID
+	s.degree = in.Degree
+	s.ok = true
 	switch {
 	case k1 == "0":
 		s.isRoot = true
@@ -66,18 +63,48 @@ func parsePTState(in simulate.Input, target LocalTarget) *ptState {
 	default:
 		s.ok = false // malformed Eve move: she loses locally
 	}
-	s.x = k2 == "1"
-	if len(k3) == 2 {
+	s.x = certAt(in, 1) == "1"
+	if k3 := certAt(in, 2); len(k3) == 2 {
 		s.y = k3[0] == '1'
 		s.z = k3[1] == '1'
 	}
-	return s
 }
 
-// round1Msg carries id, Y, Z, X and the parent claim to every neighbor.
-func (s *ptState) round1Msg() string {
-	parts := []string{s.in.ID, bit(s.y), bit(s.z), bit(s.x), bit(s.isRoot), s.parentID}
-	return strings.Join(parts, ",")
+// certAt returns the node's i-th certificate, "" when the list is
+// shorter.
+func certAt(in simulate.Input, i int) string {
+	if i < len(in.Certs) {
+		return in.Certs[i]
+	}
+	return ""
+}
+
+// appendRound1 appends the round-1 message to b: id, Y, Z, X, the root
+// flag and the parent claim, comma-separated (the parent claim last, so
+// it may itself hold commas).
+func (s *ptState) appendRound1(b []byte) []byte {
+	b = append(b, s.id...)
+	b = append(b, ',', bitByte(s.y), ',', bitByte(s.z), ',', bitByte(s.x), ',', bitByte(s.isRoot), ',')
+	return append(b, s.parentID...)
+}
+
+// msgBuf sizes the stack buffer the machines build a message in; longer
+// messages spill to the heap through append.
+const msgBuf = 64
+
+// reply returns a reply carrying msg to every neighbor, backed by s.send
+// when the degree fits it.
+func (s *ptState) reply(msg string) []string {
+	var out []string
+	if s.degree <= len(s.send) {
+		out = s.send[:s.degree]
+	} else {
+		out = make([]string, s.degree)
+	}
+	for i := range out {
+		out[i] = msg
+	}
+	return out
 }
 
 func bit(b bool) string {
@@ -87,6 +114,13 @@ func bit(b bool) string {
 	return "0"
 }
 
+func bitByte(b bool) byte {
+	if b {
+		return '1'
+	}
+	return '0'
+}
+
 type neighborInfo struct {
 	id       string
 	y, z, x  bool
@@ -94,23 +128,67 @@ type neighborInfo struct {
 	parentID string
 }
 
+// parseNeighbor decodes a round-1 message: five commas split off the
+// first five fields and the parent claim is the rest, commas included.
+// The fields are substrings of msg.
 func parseNeighbor(msg string) (neighborInfo, bool) {
-	parts := strings.SplitN(msg, ",", 6)
-	if len(parts) != 6 {
-		return neighborInfo{}, false
+	var f [5]string
+	for i := range f {
+		j := strings.IndexByte(msg, ',')
+		if j < 0 {
+			return neighborInfo{}, false
+		}
+		f[i], msg = msg[:j], msg[j+1:]
 	}
 	return neighborInfo{
-		id:       parts[0],
-		y:        parts[1] == "1",
-		z:        parts[2] == "1",
-		x:        parts[3] == "1",
-		isRoot:   parts[4] == "1",
-		parentID: parts[5],
+		id:       f[0],
+		y:        f[1] == "1",
+		z:        f[2] == "1",
+		x:        f[3] == "1",
+		isRoot:   f[4] == "1",
+		parentID: msg,
 	}, true
 }
 
-// checkPointsTo performs the round-2 local checks of the PointsTo schema.
-func (s *ptState) checkPointsTo(neighbors []neighborInfo, unique bool) {
+// split4 splits s into exactly four sep-separated fields (substrings of
+// s). Unless s holds exactly three seps it returns no fields and false.
+func split4(s string, sep byte) ([4]string, bool) {
+	var f [4]string
+	for i := 0; i < 3; i++ {
+		j := strings.IndexByte(s, sep)
+		if j < 0 {
+			return [4]string{}, false
+		}
+		f[i], s = s[:j], s[j+1:]
+	}
+	if strings.IndexByte(s, sep) >= 0 {
+		return [4]string{}, false
+	}
+	f[3] = s
+	return f, true
+}
+
+// ptCheck accumulates the round-2 PointsTo checks over one walk of a
+// node's received messages.
+type ptCheck struct {
+	parents   int  // neighbors whose id is the claimed parent's
+	parentY   bool // the charge of the last of them
+	zMismatch bool // some neighbor's Z differs from the node's
+}
+
+func (c *ptCheck) see(s *ptState, nb neighborInfo) {
+	if nb.id == s.parentID {
+		c.parents++
+		c.parentY = nb.y
+	}
+	if nb.z != s.z {
+		c.zMismatch = true
+	}
+}
+
+// finish applies the round-2 local checks of the PointsTo schema to the
+// walk c; unique adds the PointsToUnique checks.
+func (s *ptState) finish(c ptCheck, unique bool) {
 	if !s.ok {
 		return
 	}
@@ -119,35 +197,15 @@ func (s *ptState) checkPointsTo(neighbors []neighborInfo, unique bool) {
 		if !s.targetHolds || !s.y {
 			s.ok = false
 		}
-	} else {
-		// UniqueParent: the claimed parent must be exactly one neighbor.
-		found := 0
-		for _, nb := range neighbors {
-			if nb.id == s.parentID {
-				found++
-				s.parentY = nb.y
-			}
-		}
-		if found != 1 {
-			s.ok = false
-		} else {
-			// ChildCase: Y(u) = Y(parent) XOR X(u).
-			if s.y != (s.parentY != s.x) {
-				s.ok = false
-			}
-		}
+	} else if c.parents != 1 || s.y != (c.parentY != s.x) {
+		// UniqueParent: the claimed parent must be exactly one neighbor;
+		// ChildCase: Y(u) = Y(parent) XOR X(u).
+		s.ok = false
 	}
-	if unique && s.ok {
-		// BelievesInOne[ϑ]: all nodes agree on Z; target nodes tie Z to
-		// their own challenge membership.
-		for _, nb := range neighbors {
-			if nb.z != s.z {
-				s.ok = false
-			}
-		}
-		if s.targetHolds && s.z != s.x {
-			s.ok = false
-		}
+	// BelievesInOne[ϑ]: all nodes agree on Z; target nodes tie Z to
+	// their own challenge membership.
+	if unique && s.ok && (c.zMismatch || s.targetHolds && s.z != s.x) {
+		s.ok = false
 	}
 }
 
@@ -156,27 +214,28 @@ func (s *ptState) checkPointsTo(neighbors []neighborInfo, unique bool) {
 func newPointsToMachine(name string, target LocalTarget, unique bool) *simulate.Machine {
 	return &simulate.Machine{
 		Name: name,
-		Init: func(in simulate.Input) any { return parsePTState(in, target) },
+		Init: func(in simulate.Input) any {
+			s := &ptState{}
+			s.parse(in, certAt(in, 0))
+			s.targetHolds = target(in)
+			return s
+		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*ptState)
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				var buf [msgBuf]byte
+				return s.reply(string(s.appendRound1(buf[:0]))), false
 			}
-			var neighbors []neighborInfo
+			var c ptCheck
 			for _, m := range recv {
 				nb, ok := parseNeighbor(m)
 				if !ok {
 					s.ok = false
 					continue
 				}
-				neighbors = append(neighbors, nb)
+				c.see(s, nb)
 			}
-			s.checkPointsTo(neighbors, unique)
+			s.finish(c, unique)
 			return nil, true
 		},
 		Output: func(sv any) string { return bit(sv.(*ptState).ok) },
@@ -232,41 +291,53 @@ func encodeParents(p Parents, id graph.IDAssignment) cert.Assignment {
 	return out
 }
 
+// chargeNode is one node's slot in a charge solve: Eve's parent pointer
+// and Adam's challenge bit in, the charge Y out, and the solver's visit
+// mark. One []chargeNode backs the decode and the solve of a whole
+// strategy call.
+type chargeNode struct {
+	parent int
+	x, y   bool
+	det    int8 // 0 undetermined, 1 determined, 2 visiting
+}
+
 // decodeParents reconstructs the parent assignment from κ1 certificates
-// (used by Eve's third-move strategy, which — being a strategy, not a
-// distributed machine — may compute globally).
-func decodeParents(g *graph.Graph, id graph.IDAssignment, k1 cert.Assignment) (Parents, bool) {
-	p := make(Parents, g.N())
-	for u := 0; u < g.N(); u++ {
+// into c (used by Eve's third-move strategy, which — being a strategy,
+// not a distributed machine — may compute globally). pointer, when not
+// nil, cuts the parent pointer out of a longer κ1 value.
+func decodeParents(g *graph.Graph, id graph.IDAssignment, k1 cert.Assignment, pointer func(string) string, c []chargeNode) bool {
+	for u := range c {
+		k := k1[u]
+		if pointer != nil {
+			k = pointer(k)
+		}
 		switch {
-		case k1[u] == "0":
-			p[u] = u
-		case strings.HasPrefix(k1[u], "1"):
-			pid := k1[u][1:]
-			p[u] = -1
+		case k == "0":
+			c[u].parent = u
+		case strings.HasPrefix(k, "1"):
+			pid := k[1:]
+			c[u].parent = -1
 			for _, v := range g.Neighbors(u) {
 				if id[v] == pid {
-					p[u] = v
+					c[u].parent = v
 					break
 				}
 			}
-			if p[u] < 0 {
-				return nil, false
+			if c[u].parent < 0 {
+				return false
 			}
 		default:
-			return nil, false
+			return false
 		}
 	}
-	return p, true
+	return true
 }
 
-// decodeChallenge converts Adam's κ2 certificates into a challenge set.
-func decodeChallenge(k2 cert.Assignment) Challenge {
-	x := make(Challenge, len(k2))
-	for u, s := range k2 {
-		x[u] = s == "1"
+// decodeChallenge reads Adam's κ2 certificates into c's challenge bits.
+func decodeChallenge(k2 cert.Assignment, c []chargeNode) {
+	for u := range c {
+		c[u].x = k2[u] == "1"
 	}
-	return x
 }
 
 // ForestStrategy returns Eve's first-move strategy for PointsTo[target]:
@@ -305,79 +376,82 @@ func HamiltonianStrategy() core.Strategy {
 // uniqueness bit Z. The target is needed to compute Z; pass nil for the
 // plain PointsTo game (Z stays 0).
 func ChargeStrategy(target Target) core.Strategy {
-	return func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
-		out := make(cert.Assignment, g.N())
-		for u := range out {
-			out[u] = "00"
-		}
-		if len(moves) < 2 {
-			return out, nil
-		}
-		p, ok := decodeParents(g, id, moves[0])
-		if !ok {
-			return out, nil
-		}
-		x := decodeChallenge(moves[1])
-		y, ok := SolveCharges(p, x)
-		if !ok {
-			return out, nil // no consistent response exists
-		}
-		z := false
-		if target != nil {
-			var zok bool
-			z, zok = SolveUniqueness(g, target, x)
-			if !zok {
-				z = false // inconsistent; Eve loses either way
-			}
-		}
-		for u := range out {
-			out[u] = bit(y[u]) + bit(z)
-		}
-		return out, nil
+	if target == nil {
+		return chargeStrategy(nil, nil)
 	}
+	return chargeStrategy(nil, func(g *graph.Graph, _ []chargeNode, u int) bool { return target(g, u) })
 }
 
 // RootChargeStrategy is ChargeStrategy for games whose target is "is a
 // root of Eve's own forest" (the Hamiltonian game): the target depends on
 // Eve's first move, so it is resolved from moves[0].
-func RootChargeStrategy() core.Strategy {
+func RootChargeStrategy() core.Strategy { return chargeStrategy(nil, isChargeRoot) }
+
+func isChargeRoot(_ *graph.Graph, c []chargeNode, u int) bool { return c[u].parent == u }
+
+// chargeStrategy is the strategy behind ChargeStrategy,
+// RootChargeStrategy and NonTwoColorChargeStrategy. pointer (nil: κ1 is
+// the pointer) is passed to decodeParents; target (nil: Z stays 0)
+// decides the uniqueness target from the graph and Eve's decoded forest.
+// When κ1 does not decode or Adam's challenge admits no consistent
+// charges, Eve answers "00" everywhere and loses.
+func chargeStrategy(pointer func(string) string, target func(g *graph.Graph, c []chargeNode, u int) bool) core.Strategy {
 	return func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
 		out := make(cert.Assignment, g.N())
+		c := make([]chargeNode, g.N())
+		if len(moves) < 2 || !decodeParents(g, id, moves[0], pointer, c) {
+			return fillCharges(out), nil
+		}
+		decodeChallenge(moves[1], c)
+		if !solveCharges(c) {
+			return fillCharges(out), nil // no consistent response exists
+		}
+		// SolveUniqueness over c: Z is the shared challenge bit of the
+		// target nodes, and 0 when they disagree (Eve loses either way).
+		z, seen := false, false
+		for u := range c {
+			if target == nil || !target(g, c, u) {
+				continue
+			}
+			if !seen {
+				z, seen = c[u].x, true
+			} else if c[u].x != z {
+				z = false
+				break
+			}
+		}
 		for u := range out {
-			out[u] = "00"
-		}
-		if len(moves) < 2 {
-			return out, nil
-		}
-		p, ok := decodeParents(g, id, moves[0])
-		if !ok {
-			return out, nil
-		}
-		x := decodeChallenge(moves[1])
-		y, ok := SolveCharges(p, x)
-		if !ok {
-			return out, nil
-		}
-		rootTarget := func(_ *graph.Graph, u int) bool { return p[u] == u }
-		z, zok := SolveUniqueness(g, rootTarget, x)
-		if !zok {
-			z = false
-		}
-		for u := range out {
-			out[u] = bit(y[u]) + bit(z)
+			out[u] = chargeCert(c[u].y, z)
 		}
 		return out, nil
 	}
 }
 
+// chargeCert is Eve's κ3 "YZ" for charge y and uniqueness bit z.
+func chargeCert(y, z bool) string {
+	switch {
+	case y && z:
+		return "11"
+	case y:
+		return "10"
+	case z:
+		return "01"
+	}
+	return "00"
+}
+
+func fillCharges(out cert.Assignment) cert.Assignment {
+	for u := range out {
+		out[u] = "00"
+	}
+	return out
+}
+
 // --- Hamiltonian arbiter (3 rounds) ------------------------------------
 
 type hamState struct {
-	*ptState
+	ptState
 	childCount int
-	isLeaf     bool
-	rootOK     bool
-	neighbors  []neighborInfo
 }
 
 // HamiltonianArbiter returns the Σ^lp_3 arbiter of Example 9: the
@@ -387,59 +461,53 @@ func HamiltonianArbiter() *core.Arbiter {
 	m := &simulate.Machine{
 		Name: "sigma3:hamiltonian",
 		Init: func(in simulate.Input) any {
-			s := parsePTState(in, func(simulate.Input) bool { return false })
+			h := &hamState{}
+			h.parse(in, certAt(in, 0))
 			// The target of the uniqueness game is "is a root", known
 			// from the node's own κ1.
-			s.targetHolds = s.isRoot
-			return &hamState{ptState: s, rootOK: true}
+			h.targetHolds = h.isRoot
+			return h
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			h := sv.(*hamState)
-			s := h.ptState
+			s := &h.ptState
+			var buf [msgBuf]byte
 			switch round {
 			case 1:
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				return s.reply(string(s.appendRound1(buf[:0]))), false
 			case 2:
+				var c ptCheck
 				for _, m := range recv {
 					nb, ok := parseNeighbor(m)
 					if !ok {
 						s.ok = false
 						continue
 					}
-					h.neighbors = append(h.neighbors, nb)
-					if nb.parentID == s.in.ID && !nb.isRoot {
+					c.see(s, nb)
+					if nb.parentID == s.id && !nb.isRoot {
 						h.childCount++
 					}
 				}
-				s.checkPointsTo(h.neighbors, true)
+				s.finish(c, true)
 				// MaxOneChild.
 				if h.childCount > 1 {
 					s.ok = false
 				}
-				h.isLeaf = h.childCount == 0
 				// Announce leaf status (and echo the parent claim so the
 				// root can verify the leaf is not its own child).
-				out := make([]string, s.in.Degree)
-				for i := range out {
-					out[i] = bit(h.isLeaf) + "," + s.parentID
-				}
-				return out, false
+				b := append(buf[:0], bitByte(h.childCount == 0), ',')
+				return s.reply(string(append(b, s.parentID...))), false
 			default:
 				// SeesLeafIfRoot: the root needs an adjacent leaf that is
 				// not its own child.
 				if s.isRoot && s.ok {
 					seen := false
 					for _, m := range recv {
-						parts := strings.SplitN(m, ",", 2)
-						if len(parts) != 2 {
+						j := strings.IndexByte(m, ',')
+						if j < 0 {
 							continue
 						}
-						if parts[0] == "1" && parts[1] != s.in.ID {
+						if m[:j] == "1" && m[j+1:] != s.id {
 							seen = true
 						}
 					}

@@ -25,27 +25,19 @@ import (
 // off-cycle).
 
 type oddCycleState struct {
-	*ptState
+	ptState
 	onCycle bool
 	predID  string
 	parity  bool
 }
 
 func parseOddCycleState(in simulate.Input) *oddCycleState {
-	// Split κ1 into the PointsTo pointer and the cycle fields.
-	base := in
+	// Split κ1 into the PointsTo pointer and the cycle fields; a wrong
+	// field count leaves the pointer empty (malformed).
 	s := &oddCycleState{}
-	var fields []string
-	if len(in.Certs) > 0 {
-		fields = strings.Split(in.Certs[0], "|")
-	}
-	if len(fields) == 4 {
-		base.Certs = append([]string{fields[0]}, in.Certs[1:]...)
-	} else {
-		base.Certs = append([]string{""}, in.Certs[1:]...) // malformed
-	}
-	s.ptState = parsePTState(base, func(simulate.Input) bool { return false })
-	if len(fields) != 4 {
+	fields, ok := split4(certAt(in, 0), '|')
+	s.parse(in, fields[0])
+	if !ok {
 		s.ok = false
 		return s
 	}
@@ -56,37 +48,9 @@ func parseOddCycleState(in simulate.Input) *oddCycleState {
 	return s
 }
 
-// oddCycleMsg extends the PointsTo round-1 message with the cycle fields.
-func (s *oddCycleState) oddCycleMsg() string {
-	return s.round1Msg() + ";" + bit(s.onCycle) + ";" + s.predID + ";" + bit(s.parity)
-}
-
-type oddCycleNeighbor struct {
-	neighborInfo
-	onCycle bool
-	predID  string
-	parity  bool
-}
-
-func parseOddCycleNeighbor(m string) (oddCycleNeighbor, bool) {
-	parts := strings.Split(m, ";")
-	if len(parts) != 4 {
-		return oddCycleNeighbor{}, false
-	}
-	nb, ok := parseNeighbor(parts[0])
-	if !ok {
-		return oddCycleNeighbor{}, false
-	}
-	return oddCycleNeighbor{
-		neighborInfo: nb,
-		onCycle:      parts[1] == "1",
-		predID:       parts[2],
-		parity:       parts[3] == "1",
-	}, true
-}
-
 // NonTwoColorableArbiter returns the Σ^lp_3 arbiter for
-// non-2-colorability.
+// non-2-colorability. Its round-1 message extends the PointsTo message
+// with the cycle fields: <round-1 message>;<onCycle>;<predID>;<parity>.
 func NonTwoColorableArbiter() *core.Arbiter {
 	m := &simulate.Machine{
 		Name: "sigma3:non-2-colorable",
@@ -94,55 +58,50 @@ func NonTwoColorableArbiter() *core.Arbiter {
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			s := sv.(*oddCycleState)
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.oddCycleMsg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				var buf [msgBuf]byte
+				b := append(s.appendRound1(buf[:0]), ';', bitByte(s.onCycle), ';')
+				b = append(append(b, s.predID...), ';', bitByte(s.parity))
+				return s.reply(string(b)), false
 			}
-			var neighbors []neighborInfo
-			var cyc []oddCycleNeighbor
+			var c ptCheck
+			// On-cycle neighbors that are my predecessor / name me as
+			// theirs, and whether a predecessor breaks the parity rule:
+			// equal parity for the root, opposite for everyone else.
+			pred, succ, parityBad := 0, 0, false
 			for _, m := range recv {
-				nb, ok := parseOddCycleNeighbor(m)
+				f, ok := split4(m, ';')
+				var nb neighborInfo
+				if ok {
+					nb, ok = parseNeighbor(f[0])
+				}
 				if !ok {
 					s.ok = false
 					continue
 				}
-				neighbors = append(neighbors, nb.neighborInfo)
-				cyc = append(cyc, nb)
+				c.see(&s.ptState, nb)
+				if f[1] != "1" {
+					continue
+				}
+				if nb.id == s.predID {
+					pred++
+					if ((f[3] == "1") != s.parity) == s.isRoot {
+						parityBad = true
+					}
+				}
+				if f[2] == s.id {
+					succ++
+				}
 			}
 			// Spanning-tree checks with uniqueness (root anchored).
-			s.checkPointsTo(neighbors, true)
+			s.finish(c, true)
 			// The root must lie on Eve's cycle.
 			if s.isRoot && !s.onCycle {
 				s.ok = false
 			}
-			if s.onCycle && s.ok {
-				// Exactly one on-cycle neighbor is my predecessor, and it
-				// must carry the right parity: equal for the root,
-				// opposite for everyone else.
-				pred := 0
-				succ := 0
-				for _, nb := range cyc {
-					if nb.onCycle && nb.id == s.predID {
-						pred++
-						if s.isRoot {
-							if nb.parity != s.parity {
-								s.ok = false
-							}
-						} else if nb.parity == s.parity {
-							s.ok = false
-						}
-					}
-					// Successor: a neighbor naming me as its predecessor.
-					if nb.onCycle && nb.predID == s.in.ID {
-						succ++
-					}
-				}
-				if pred != 1 || succ != 1 {
-					s.ok = false
-				}
+			// Exactly one on-cycle neighbor is my predecessor, with the
+			// right parity, and exactly one is my successor.
+			if s.onCycle && s.ok && (pred != 1 || succ != 1 || parityBad) {
+				s.ok = false
 			}
 			return nil, true
 		},
@@ -245,21 +204,14 @@ func NonTwoColorableStrategy() core.Strategy {
 	}
 }
 
-// nonTwoColorChargeStrategy strips the cycle fields before delegating to
-// the root-targeted charge solver.
+// NonTwoColorChargeStrategy is RootChargeStrategy on the pointer field
+// of Eve's κ1: the cycle fields after the first '|' are cut off before
+// the parents are decoded.
 func NonTwoColorChargeStrategy() core.Strategy {
-	inner := RootChargeStrategy()
-	return func(g *graph.Graph, id graph.IDAssignment, moves []cert.Assignment) (cert.Assignment, error) {
-		if len(moves) >= 1 {
-			stripped := make(cert.Assignment, len(moves[0]))
-			for u, c := range moves[0] {
-				if i := strings.IndexByte(c, '|'); i >= 0 {
-					c = c[:i]
-				}
-				stripped[u] = c
-			}
-			moves = append([]cert.Assignment{stripped}, moves[1:]...)
+	return chargeStrategy(func(k string) string {
+		if i := strings.IndexByte(k, '|'); i >= 0 {
+			return k[:i]
 		}
-		return inner(g, id, moves)
-	}
+		return k
+	}, isChargeRoot)
 }

@@ -131,12 +131,6 @@ func subtreeParities(p Parents) ([]int, bool) {
 
 // --- machine layer -------------------------------------------------------
 
-// acyclicState extends the PointsToUnique checks with the all-edges-in-
-// tree condition.
-type acyclicState struct {
-	*ptState
-}
-
 // AcyclicArbiter returns the Σ^lp_3 arbiter for acyclicity: the
 // PointsToUnique[Root] checks plus "every incident edge is a tree edge".
 // κ1(u) = parent pointer; κ2(u) = Adam's challenge bit; κ3(u) = "YZ".
@@ -144,42 +138,41 @@ func AcyclicArbiter() *core.Arbiter {
 	m := &simulate.Machine{
 		Name: "sigma3:acyclic",
 		Init: func(in simulate.Input) any {
-			s := parsePTState(in, func(simulate.Input) bool { return false })
+			s := &ptState{}
+			s.parse(in, certAt(in, 0))
 			s.targetHolds = s.isRoot
-			return &acyclicState{ptState: s}
+			return s
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
-			s := sv.(*acyclicState).ptState
+			s := sv.(*ptState)
 			if round == 1 {
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg()
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				var buf [msgBuf]byte
+				return s.reply(string(s.appendRound1(buf[:0]))), false
 			}
-			var neighbors []neighborInfo
+			var c ptCheck
+			inTree := true
 			for _, m := range recv {
 				nb, ok := parseNeighbor(m)
 				if !ok {
 					s.ok = false
 					continue
 				}
-				neighbors = append(neighbors, nb)
-			}
-			s.checkPointsTo(neighbors, true)
-			// Every incident edge must be in the tree: each neighbor is
-			// either my parent or points to me.
-			for _, nb := range neighbors {
+				c.see(s, nb)
+				// Every incident edge must be in the tree: each neighbor
+				// is either my parent or points to me.
 				isMyParent := !s.isRoot && nb.id == s.parentID
-				pointsToMe := !nb.isRoot && nb.parentID == s.in.ID
+				pointsToMe := !nb.isRoot && nb.parentID == s.id
 				if !isMyParent && !pointsToMe {
-					s.ok = false
+					inTree = false
 				}
+			}
+			s.finish(c, true)
+			if !inTree {
+				s.ok = false
 			}
 			return nil, true
 		},
-		Output: func(sv any) string { return bit(sv.(*acyclicState).ok) },
+		Output: func(sv any) string { return bit(sv.(*ptState).ok) },
 	}
 	return &core.Arbiter{
 		Machine:  m,
@@ -191,10 +184,8 @@ func AcyclicArbiter() *core.Arbiter {
 
 // oddState carries the parity counter parsed from κ1.
 type oddState struct {
-	*ptState
-	parity       int
-	childrenSum  int
-	childParSeen int
+	ptState
+	parity int
 }
 
 // OddArbiter returns the Σ^lp_3 arbiter for "odd number of nodes": Eve's
@@ -207,40 +198,35 @@ func OddArbiter() *core.Arbiter {
 		Name: "sigma3:odd",
 		Init: func(in simulate.Input) any {
 			// Split κ1 = <pointer>:<parity>.
-			base := in
-			parity := -1
-			if len(in.Certs) > 0 {
-				if i := strings.LastIndexByte(in.Certs[0], ':'); i >= 0 {
-					switch in.Certs[0][i+1:] {
-					case "0":
-						parity = 0
-					case "1":
-						parity = 1
-					}
-					base.Certs = append([]string{in.Certs[0][:i]}, in.Certs[1:]...)
+			o := &oddState{parity: -1}
+			k1 := certAt(in, 0)
+			if i := strings.LastIndexByte(k1, ':'); i >= 0 {
+				switch k1[i+1:] {
+				case "0":
+					o.parity = 0
+				case "1":
+					o.parity = 1
 				}
+				k1 = k1[:i]
 			}
-			s := parsePTState(base, func(simulate.Input) bool { return false })
-			s.targetHolds = s.isRoot
-			if parity < 0 {
-				s.ok = false
-				parity = 0
+			o.parse(in, k1)
+			o.targetHolds = o.isRoot
+			if o.parity < 0 {
+				o.ok = false
+				o.parity = 0
 			}
-			return &oddState{ptState: s, parity: parity}
+			return o
 		},
 		Round: func(sv any, round int, recv []string) ([]string, bool) {
 			o := sv.(*oddState)
-			s := o.ptState
+			s := &o.ptState
 			if round == 1 {
 				// Message: the PointsTo fields plus the parity bit.
-				out := make([]string, s.in.Degree)
-				msg := s.round1Msg() + "," + bit(o.parity == 1)
-				for i := range out {
-					out[i] = msg
-				}
-				return out, false
+				var buf [msgBuf]byte
+				b := append(s.appendRound1(buf[:0]), ',', bitByte(o.parity == 1))
+				return s.reply(string(b)), false
 			}
-			var neighbors []neighborInfo
+			var c ptCheck
 			sum := 0
 			for _, m := range recv {
 				i := strings.LastIndexByte(m, ',')
@@ -253,13 +239,13 @@ func OddArbiter() *core.Arbiter {
 					s.ok = false
 					continue
 				}
-				neighbors = append(neighbors, nb)
+				c.see(s, nb)
 				// Children contribute their parity.
-				if !nb.isRoot && nb.parentID == s.in.ID && m[i+1:] == "1" {
+				if !nb.isRoot && nb.parentID == s.id && m[i+1:] == "1" {
 					sum++
 				}
 			}
-			s.checkPointsTo(neighbors, true)
+			s.finish(c, true)
 			// Counter check: my parity = 1 + Σ children parities (mod 2).
 			if o.parity != (1+sum)%2 {
 				s.ok = false

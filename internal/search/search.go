@@ -315,17 +315,29 @@ func decodePrefix(s Space, depth int, i int64, cur []int) {
 // (or restore) whatever state they read.
 type Scratch[T any] struct{ pool sync.Pool }
 
+// scratchEntry is one pooled buffer with its release function, built
+// once when the entry is created so Get allocates nothing.
+type scratchEntry[T any] struct {
+	v       T
+	release func()
+}
+
 // NewScratch returns a Scratch whose buffers are created by alloc.
 func NewScratch[T any](alloc func() T) *Scratch[T] {
 	s := &Scratch[T]{}
-	s.pool.New = func() any { v := alloc(); return &v }
+	s.pool.New = func() any {
+		e := &scratchEntry[T]{v: alloc()}
+		e.release = func() { s.pool.Put(e) }
+		return e
+	}
 	return s
 }
 
-// Get returns a pooled buffer and its release function.
+// Get returns a pooled buffer and its release function. The release
+// function belongs to the buffer: call it once per Get.
 func (s *Scratch[T]) Get() (T, func()) {
-	vp := s.pool.Get().(*T)
-	return *vp, func() { s.pool.Put(vp) }
+	e := s.pool.Get().(*scratchEntry[T])
+	return e.v, e.release
 }
 
 // Map evaluates f(0), …, f(n-1) across the worker pool and returns the

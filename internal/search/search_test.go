@@ -178,3 +178,23 @@ func TestMapOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchGetAllocFree: once a buffer is pooled, Get and its release
+// function allocate nothing — the release function is built once per
+// pooled buffer, not per Get.
+func TestScratchGetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	s := NewScratch(func() []int { return make([]int, 8) })
+	_, release := s.Get()
+	release()
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf, release := s.Get()
+		buf[0]++
+		release()
+	})
+	if allocs != 0 {
+		t.Fatalf("Get+release allocates %.1f times, want 0", allocs)
+	}
+}

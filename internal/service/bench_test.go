@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/search"
 	"repro/internal/service"
+	"repro/internal/simulate"
 )
 
 // verifyBody builds a /v1/verify request for an n-cycle. Even n makes
@@ -110,4 +114,80 @@ func BenchmarkTracedVerify(b *testing.B) {
 			Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
 		})
 	})
+}
+
+// gameTrees is the game-engine corpus: 16 seeded attachment trees of
+// 5–7 nodes with seeded labels, each paired with the Σ3 property it
+// plays. Even entries play not-all-selected with at least one node left
+// unselected; odd entries play one-selected with zero to three nodes
+// selected, so both yes- and no-instances appear.
+func gameTrees() []struct {
+	prep *simulate.Prepared
+	prop string
+} {
+	rng := rand.New(rand.NewSource(16))
+	out := make([]struct {
+		prep *simulate.Prepared
+		prop string
+	}, 16)
+	for i := range out {
+		n := 5 + rng.Intn(3)
+		edges := make([]graph.Edge, 0, n-1)
+		for u := 1; u < n; u++ {
+			edges = append(edges, graph.Edge{U: rng.Intn(u), V: u})
+		}
+		labels := make([]string, n)
+		for u := range labels {
+			labels[u] = "0"
+		}
+		if i%2 == 0 {
+			out[i].prop = "not-all-selected"
+			keep := rng.Intn(n)
+			for u := range labels {
+				if u != keep && rng.Intn(2) == 0 {
+					labels[u] = "1"
+				}
+			}
+		} else {
+			out[i].prop = "one-selected"
+			for _, u := range rng.Perm(n)[:[]int{1, 1, 0, 2, 3}[rng.Intn(5)]] {
+				labels[u] = "1"
+			}
+		}
+		prep, err := service.Prepare(graph.MustNew(n, edges, labels))
+		if err != nil {
+			panic(err)
+		}
+		out[i].prep = prep
+	}
+	return out
+}
+
+// BenchmarkVerifyGame is the core.engine layer benchmark of the
+// game-engine load shape: one op plays the Σ3 not-all-selected or
+// one-selected verify on each of the 16 gameTrees instances (Eve's
+// forest and charge strategies against every challenge of Adam), with
+// no memo, so ns/op and allocs/op are 16 whole games. The sequential
+// arm runs one worker; the parallel arm fans Adam's level out across
+// two.
+func BenchmarkVerifyGame(b *testing.B) {
+	games := gameTrees()
+	for _, arm := range []struct {
+		name string
+		opts search.Options
+	}{
+		{"sequential", search.Sequential()},
+		{"parallel", search.Parallel(2)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, gm := range games {
+					if _, err := service.Verify(gm.prep, gm.prop, arm.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }

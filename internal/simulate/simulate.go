@@ -64,7 +64,9 @@ type Machine struct {
 	// recv is only valid for the duration of the call: the pooled fast
 	// path (Prepared.RunAccepted) reuses one buffer across nodes and
 	// rounds, so implementations must copy any message they need to keep
-	// rather than retaining recv or aliasing into it.
+	// rather than retaining recv or aliasing into it. In turn, Run and
+	// RunAccepted copy send before they call Round again, so Round may
+	// return a buffer its state reuses across rounds.
 	Round func(st any, round int, recv []string) (send []string, halt bool)
 	// Output extracts the node's final output label (its verdict when the
 	// machine is used as a decision procedure: "1" accepts).
